@@ -30,6 +30,7 @@ from .spectral import (
     ModeReport,
     Projection,
     classify_modes,
+    conjugate_closure,
     eigenperiod,
     project,
     regime_localization,
@@ -64,6 +65,7 @@ __all__ = [
     "ModeReport",
     "Projection",
     "classify_modes",
+    "conjugate_closure",
     "eigenperiod",
     "project",
     "regime_localization",

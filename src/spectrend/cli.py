@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import data, embed, models, operator, spectral
+from . import _table, data, embed, models, operator, spectral
 
 ENV_OUT = "SPECTREND_OUT"
 
@@ -34,8 +34,20 @@ _DEFAULTS = {
     "embedding": {"Q": 3, "lag": 10},
     "operator": {"step": 1, "knn": 25, "modes": 12, "duplicate_tol": 0.0},
     "reconstruct": {"indices": [1]},
-    "output": {"dir": None, "dump_operator": False},
+    "output": {"dir": None},
 }
+
+# command line flag -> config (section, key); "model" is the source's model
+_FLAGS = {"model": ("model", "kind"), "steps": ("model", "n_steps"),
+          "seed": ("model", "seed"), "drift": ("model", "drift"),
+          "delta": ("model", "delta"), "Q": ("embedding", "Q"),
+          "lag": ("embedding", "lag"), "step": ("operator", "step"),
+          "knn": ("operator", "knn"), "modes": ("operator", "modes")}
+
+# keys a config section accepts besides those in its defaults
+_OPTIONAL = {"source": {"path", "time_col", "value_col", "header_rows", "t_start",
+                        "t_end", "dt", "reverse_time", "sentinel"},
+             "preprocess": {"anomaly"}}
 
 
 class StageError(Exception):
@@ -69,9 +81,17 @@ def load_config(path) -> dict:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config root must be a JSON object")
-    unknown = set(cfg) - set(_DEFAULTS)
-    if unknown:
-        raise ValueError(f"{path}: unknown config sections {sorted(unknown)}")
+    for name, section in cfg.items():
+        if name not in _DEFAULTS:
+            raise ValueError(f"{path}: unknown config section {name!r}")
+        if not isinstance(section, dict):
+            raise ValueError(f"{path}: config section {name!r} must be a JSON object")
+        unknown = set(section) - set(_DEFAULTS[name]) - _OPTIONAL.get(name, set())
+        if unknown:
+            raise ValueError(f"{path}: unknown keys {sorted(unknown)} in config section {name!r}")
+    if not isinstance(cfg.get("source", {}).get("model", {}), dict):
+        raise ValueError(f"{path}: source model must be a JSON object such as "
+                         '{"kind": "F", "n_steps": 2000, "seed": 11}')
     return cfg
 
 
@@ -79,31 +99,19 @@ def resolve_config(args) -> dict:
     cfg = copy.deepcopy(_DEFAULTS)
     if getattr(args, "config", None):
         cfg = _merge(cfg, _run_stage("config", load_config, args.config))
-    model_over = {}
-    for flag, key in (("model", "kind"), ("steps", "n_steps"), ("seed", "seed"),
-                      ("drift", "drift"), ("delta", "delta")):
+    for flag, (section, key) in _FLAGS.items():
         val = getattr(args, flag, None)
-        if val is not None:
-            model_over[key] = val
-    if model_over:
-        cfg = _merge(cfg, {"source": {"kind": "synthetic",
-                                      "model": _merge(cfg["source"].get("model", {}),
-                                                      model_over)}})
-    emb_over = {k: v for k, v in (("Q", getattr(args, "Q", None)),
-                                  ("lag", getattr(args, "lag", None))) if v is not None}
-    if emb_over:
-        cfg = _merge(cfg, {"embedding": emb_over})
-    op_over = {k: v for k, v in (("step", getattr(args, "step", None)),
-                                 ("knn", getattr(args, "knn", None)),
-                                 ("modes", getattr(args, "modes", None))) if v is not None}
-    if op_over:
-        cfg = _merge(cfg, {"operator": op_over})
+        if val is None:
+            continue
+        if section == "model":
+            cfg["source"]["kind"] = "synthetic"
+            cfg["source"]["model"][key] = val
+        else:
+            cfg[section][key] = val
     if getattr(args, "indices", None):
-        idx = [int(tok) for tok in args.indices.split(",") if tok]
-        cfg = _merge(cfg, {"reconstruct": {"indices": idx}})
-    out_dir = getattr(args, "out", None) or cfg["output"].get("dir") \
+        cfg["reconstruct"]["indices"] = [int(tok) for tok in args.indices.split(",") if tok]
+    cfg["output"]["dir"] = getattr(args, "out", None) or cfg["output"]["dir"] \
         or os.environ.get(ENV_OUT) or "spectrend_out"
-    cfg["output"]["dir"] = out_dir
     return cfg
 
 
@@ -112,10 +120,13 @@ def _validate(cfg) -> None:
     op = cfg["operator"]
     for name, val in (("Q", emb["Q"]), ("lag", emb["lag"]),
                       ("knn", op["knn"]), ("modes", op["modes"])):
-        if not isinstance(val, int) or val < 1:
+        if type(val) is not int or val < 1:    # bool is not an int here
             raise ValueError(f"{name} must be a positive integer, got {val!r}")
-    if not isinstance(op["step"], int) or op["step"] < 0:
+    if type(op["step"]) is not int or op["step"] < 0:
         raise ValueError(f"step must be a nonnegative integer, got {op['step']!r}")
+    indices = cfg["reconstruct"]["indices"]
+    if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+        raise ValueError(f"reconstruct indices must be a list of integers, got {indices!r}")
     src = cfg["source"]
     if src.get("kind") not in ("synthetic", "scalar", "field"):
         raise ValueError(f"source kind must be synthetic|scalar|field, got {src.get('kind')!r}")
@@ -125,23 +136,15 @@ def _validate(cfg) -> None:
             raise ValueError(f"source path does not exist: {path!r}")
 
 
-def _echo_config(cfg, out_dir) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "run_config.json"), "w") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _model_config(cfg) -> models.ModelConfig:
+    return models.ModelConfig(**cfg["source"].get("model", {}))
 
 
-def _load_source(cfg):
-    """Returns (TimeSeries, trajectory-or-None)."""
+def _load_source(cfg) -> data.TimeSeries:
     src = cfg["source"]
     if src["kind"] == "synthetic":
-        model_cfg = dict(src.get("model", {}))
-        if isinstance(model_cfg.get("drift"), list):
-            model_cfg["drift"] = tuple(model_cfg["drift"])
-        config = _run_stage("model-config", models.ModelConfig, **model_cfg)
-        traj = _run_stage("simulate", models.simulate, config)
-        return data.TimeSeries(samples=traj.observations), traj
+        config = _run_stage("model-config", _model_config, cfg)
+        return data.TimeSeries(samples=_run_stage("simulate", models.simulate, config).observations)
     if src["kind"] == "scalar":
         record = _run_stage("load", data.load_scalar_record, src["path"],
                             time_col=src.get("time_col", 0),
@@ -151,25 +154,27 @@ def _load_source(cfg):
         t_end = src.get("t_end", record.times[-1])
         series = _run_stage("interpolate", data.interpolate_uniform,
                             record, src.get("dt", 1.0), t_start, t_end)
-        if src.get("reverse_time", False):
-            series = data.reverse_time(series)
-        return series, None
+        return data.reverse_time(series) if src.get("reverse_time", False) else series
     series, _mask = _run_stage("load", data.load_field_stack, src["path"],
                                sentinel=src.get("sentinel"))
-    return series, None
+    return series
 
 
-def _preprocess(cfg, series):
+def _analyze(args):
+    """Resolve, check and echo the config, then run every stage up to the
+    eigenpairs.  Returns (config, series, operator, decomposition, h), where
+    h is the (n, d) observations aligned to the operator's rows."""
+    cfg = resolve_config(args)
+    _run_stage("validate", _validate, cfg)
+    os.makedirs(cfg["output"]["dir"], exist_ok=True)
+    with open(os.path.join(cfg["output"]["dir"], "run_config.json"), "w") as f:
+        json.dump(cfg, f, indent=2, sort_keys=True)
+        f.write("\n")
+    series = _load_source(cfg)
     anom = cfg["preprocess"].get("anomaly")
     if anom:
         series = _run_stage("anomalies", data.anomalies, series,
                             tuple(anom["window"]), int(anom["cycle"]))
-    return series
-
-
-def _analyze(cfg):
-    series, traj = _load_source(cfg)
-    series = _preprocess(cfg, series)
     emb = _run_stage("embed", embed.delay_embed, series,
                      cfg["embedding"]["Q"], cfg["embedding"]["lag"])
     opr = _run_stage("operator", operator.build_operator, emb,
@@ -178,19 +183,14 @@ def _analyze(cfg):
     modes = min(cfg["operator"]["modes"], opr.n)
     dec = _run_stage("eigendecompose", operator.eigendecompose, opr, modes)
     base = (emb.Q - 1) * emb.ell
-    h_rows = np.atleast_2d(series.samples.T).T[base:base + opr.n]
-    target = h_rows[:, 0] if h_rows.shape[1] == 1 else h_rows
-    return series, emb, opr, dec, target
+    return cfg, series, opr, dec, np.atleast_2d(series.samples.T).T[base:base + opr.n]
 
 
 def cmd_synth(args) -> int:
     cfg = resolve_config(args)
     if cfg["source"]["kind"] != "synthetic":
         raise StageError("synth", ValueError("synth requires a synthetic source"), 2)
-    src = dict(cfg["source"].get("model", {}))
-    if isinstance(src.get("drift"), list):
-        src["drift"] = tuple(src["drift"])
-    config = _run_stage("model-config", models.ModelConfig, **src)
+    config = _run_stage("model-config", _model_config, cfg)
     traj = _run_stage("simulate", models.simulate, config)
     out_dir = cfg["output"]["dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -202,58 +202,39 @@ def cmd_synth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = resolve_config(args)
-    _run_stage("validate", _validate, cfg)
+    cfg, series, opr, dec, h = _analyze(args)
     out_dir = cfg["output"]["dir"]
-    _echo_config(cfg, out_dir)
-    series, emb, opr, dec, target = _analyze(cfg)
-    reports = _run_stage("classify", spectral.classify_modes, dec,
-                         target if target.ndim == 1 else target[:, 0])
+    reports = _run_stage("classify", spectral.classify_modes, dec, h[:, 0])
     operator.write_eigenvalue_table(dec, os.path.join(out_dir, "eigenvalues.txt"))
     spectral.write_mode_table(reports, os.path.join(out_dir, "periods.txt"))
     times = dec.row_times if dec.row_times is not None else np.arange(opr.n, dtype=float)
-    with open(os.path.join(out_dir, "modes.txt"), "w") as f:
-        f.write("# time " + " ".join(f"mode_{r.index}" for r in reports) + "\n")
-        cols = np.column_stack([r.time_series for r in reports])
-        for t, row in zip(times, cols):
-            f.write(f"{t:.17e} " + " ".join(f"{v:.17e}" for v in row) + "\n")
-    if cfg["output"].get("dump_operator"):
-        operator.write_matrix(opr.P, os.path.join(out_dir, "operator.txt"))
+    _table.write_table(os.path.join(out_dir, "modes.txt"),
+                       ["time " + " ".join(f"mode_{r.index}" for r in reports)],
+                       [times] + [r.time_series for r in reports])
     print(f"analyzed {len(series)} samples -> {opr.n} operator rows; "
           f"tables in {out_dir}")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = resolve_config(args)
-    _run_stage("validate", _validate, cfg)
-    out_dir = cfg["output"]["dir"]
-    _echo_config(cfg, out_dir)
-    _series, _emb, _opr, dec, target = _analyze(cfg)
-    wanted = tuple(cfg["reconstruct"].get("indices", [1]))
+    cfg, _series, _opr, dec, h = _analyze(args)
+    target = h[:, 0] if h.shape[1] == 1 else h
+    wanted = cfg["reconstruct"]["indices"]
     closed = _run_stage("closure", spectral.conjugate_closure, dec, wanted)
-    added = sorted(set(closed) - set(int(i) for i in wanted))
+    added = sorted(set(closed) - set(wanted))
     if added:
         print(f"notice: index set extended with conjugate partner(s) {added}")
     proj = _run_stage("project", spectral.project, dec, closed, target)
-    path = os.path.join(out_dir, "reconstruction.txt")
+    path = os.path.join(cfg["output"]["dir"], "reconstruction.txt")
     spectral.write_projection(proj, path)
     print(f"wrote {path} (modes {','.join(str(i) for i in closed)})")
     return 0
 
 
 def cmd_periods(args) -> int:
-    cfg = resolve_config(args)
-    _run_stage("validate", _validate, cfg)
-    _echo_config(cfg, cfg["output"]["dir"])
-    _series, _emb, _opr, dec, target = _analyze(cfg)
-    reports = _run_stage("classify", spectral.classify_modes, dec,
-                         target if target.ndim == 1 else target[:, 0])
-    print("# j re_lambda im_lambda period amplitude kind")
-    for r in reports:
-        period = "inf" if r.period is None else f"{r.period:.6f}"
-        print(f"{r.index} {r.eigenvalue.real:.6f} {r.eigenvalue.imag:.6f} "
-              f"{period} {r.amplitude:.6e} {r.kind}")
+    _cfg, _series, _opr, dec, h = _analyze(args)
+    reports = _run_stage("classify", spectral.classify_modes, dec, h[:, 0])
+    spectral._write_modes(reports, sys.stdout, ["%d", "%.6f", "%.6f", "%.6f", "%.6e", "%s"])
     return 0
 
 

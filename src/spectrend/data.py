@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from ._table import write_table
+
 
 @dataclasses.dataclass(frozen=True)
 class TimeSeries:
@@ -192,14 +194,9 @@ def scatter_back(values, mask: FieldMask, fill: float = np.nan) -> np.ndarray:
     vals = np.asarray(values)
     if vals.shape[-1] != mask.n_kept:
         raise ValueError(f"expected last axis {mask.n_kept}, got {vals.shape[-1]}")
-    ny, nx = mask.shape
-    if vals.ndim == 1:
-        full = np.full(ny * nx, fill, dtype=float)
-        full[mask.kept] = vals
-        return full.reshape(ny, nx)
-    full = np.full((vals.shape[0], ny * nx), fill, dtype=float)
-    full[:, mask.kept] = vals
-    return full.reshape(vals.shape[0], ny, nx)
+    full = np.full(vals.shape[:-1] + (mask.shape[0] * mask.shape[1],), fill, dtype=float)
+    full[..., mask.kept] = vals
+    return full.reshape(vals.shape[:-1] + tuple(mask.shape))
 
 
 def anomalies(series: TimeSeries, window: tuple, cycle: int) -> TimeSeries:
@@ -233,9 +230,6 @@ def anomalies(series: TimeSeries, window: tuple, cycle: int) -> TimeSeries:
 
 def write_timeseries(series: TimeSeries, path) -> None:
     """Uniform series as delimited text with a metadata header."""
-    ser = np.atleast_2d(series.samples.T).T
-    with open(path, "w") as f:
-        f.write(f"# dt={series.dt:.17e} t0={series.t0:.17e}"
-                f" time_unit={series.time_unit or '-'} value_unit={series.value_unit or '-'}\n")
-        for t, row in zip(series.times, ser):
-            f.write(f"{t:.17e} " + " ".join(f"{v:.17e}" for v in row) + "\n")
+    write_table(path, [f"dt={series.dt:.17e} t0={series.t0:.17e} time_unit="
+                       f"{series.time_unit or '-'} value_unit={series.value_unit or '-'}"],
+                [series.times, series.samples])

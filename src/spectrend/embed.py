@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from ._table import write_table
+
 
 @dataclasses.dataclass(frozen=True)
 class EmbeddedSeries:
@@ -67,7 +69,8 @@ def delay_embed(series, Q: int, ell: int, dt: float = 1.0, t0: float = 0.0) -> E
         dt = float(series.dt)
         t0 = float(series.t0)
         series = series.samples
-    arr = np.asarray(series, dtype=float)
+    # C order, so the delay vectors are too: distances run slower on strided rows
+    arr = np.ascontiguousarray(series, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if Q < 1 or ell < 1:
@@ -128,7 +131,5 @@ def suggest_lag(alpha_max: float) -> int:
 
 def write_embedded(emb: EmbeddedSeries, path) -> None:
     """Export the delay-vector matrix with a small metadata header."""
-    with open(path, "w") as f:
-        f.write(f"# Q={emb.Q} ell={emb.ell} dt={emb.dt:.17e} t0={emb.t0:.17e}\n")
-        for row in emb.points:
-            f.write(" ".join(f"{v:.17e}" for v in row) + "\n")
+    write_table(path, [f"Q={emb.Q} ell={emb.ell} dt={emb.dt:.17e} t0={emb.t0:.17e}"],
+                [emb.points])

@@ -26,6 +26,8 @@ from typing import Optional
 
 import numpy as np
 
+from ._table import write_table
+
 TWO_PI = 2.0 * math.pi
 
 #: default seed; chosen so that the default Model F run visits both
@@ -135,7 +137,7 @@ class ModelConfig:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {_KINDS}")
         steps = self.n_steps if self.n_steps is not None else _DEFAULT_STEPS[self.kind]
-        if not isinstance(steps, int) or steps <= 0:
+        if type(steps) is not int or steps <= 0:    # rejects bool
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", steps)
         if self.kind in ("F", "Fprime"):
@@ -262,14 +264,9 @@ def regime_mask(trajectory: Trajectory) -> np.ndarray:
 def write_trajectory(trajectory: Trajectory, series_path, meta_path=None) -> None:
     """Export as two-column text (step index, observation) plus a JSON sidecar."""
     h = trajectory.observations
-    with open(series_path, "w") as f:
-        f.write("# step observation\n")
-        for t in range(len(h)):
-            f.write(f"{t} {h[t]:.17e}\n")
+    write_table(series_path, ["step observation"], [np.arange(len(h)), h])
     if meta_path is not None:
         cfg = dataclasses.asdict(trajectory.config)
-        if isinstance(cfg["drift"], tuple):
-            cfg["drift"] = list(cfg["drift"])
         with open(meta_path, "w") as f:
             json.dump({"model": cfg, "n_steps": int(trajectory.config.n_steps)}, f, indent=2)
             f.write("\n")

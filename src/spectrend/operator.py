@@ -23,7 +23,9 @@ import scipy.linalg
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-_PAIR_TOL = 1e-10      # |Im| below this counts as a real eigenvalue
+from ._table import write_table
+
+_PAIR_TOL = 1e-10      # |Im| below this is real; relative gap below this is conjugate
 _MOD_DECIMALS = 9      # modulus quantization for ordering ties
 
 
@@ -163,6 +165,12 @@ def _order_keys(w: np.ndarray):
     return np.lexsort((-w.imag, -w.real, -np.round(np.abs(w), _MOD_DECIMALS)))
 
 
+def _pair_starts(a, b):
+    """Whether b is the conjugate partner of a, with a in the upper half plane."""
+    return (np.imag(a) > _PAIR_TOL) & (
+        np.abs(b - np.conj(a)) <= _PAIR_TOL * np.maximum(1.0, np.abs(a)))
+
+
 def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecomposition:
     """Top-m eigenpairs of P with duals from the transposed matrix.
 
@@ -185,20 +193,15 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     order = _order_keys(w)
     w, vl, vr = w[order], vl[:, order], vr[:, order]
     # do not split a conjugate pair at the retention boundary
-    if m < n and abs(w[m - 1].imag) > _PAIR_TOL and np.isclose(
-            w[m], w[m - 1].conjugate(), rtol=0.0, atol=1e-12 * max(1.0, abs(w[m - 1]))):
+    if m < n and _pair_starts(w[m - 1], w[m]):
         m += 1
     w, vl, vr = w[:m], vl[:, :m], vr[:, :m]
 
     pair = np.full(m, -1, dtype=int)
-    for j in range(m):
-        if abs(w[j].imag) <= _PAIR_TOL:
-            w[j] = w[j].real
-            continue
-        if pair[j] >= 0:
-            continue
-        if j + 1 < m and abs(w[j + 1] - w[j].conjugate()) <= 1e-9 * max(1.0, abs(w[j])):
-            pair[j], pair[j + 1] = j + 1, j
+    starts = np.flatnonzero(_pair_starts(w[:-1], w[1:]))
+    pair[starts], pair[starts + 1] = starts + 1, starts
+    real = np.abs(w.imag) <= _PAIR_TOL
+    w[real] = w[real].real
     degenerate = []
     residuals = np.empty(m)
     dual_residuals = np.empty(m)
@@ -224,16 +227,10 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
         degenerate=tuple(degenerate), s=op.s, dt=op.dt, row_times=op.row_times)
 
 
-def write_matrix(M: np.ndarray, path) -> None:
-    with open(path, "w") as f:
-        for row in np.atleast_2d(M):
-            f.write(" ".join(f"{v:.17e}" for v in row) + "\n")
-
-
 def write_eigenvalue_table(dec: SpectralDecomposition, path) -> None:
     """Text table: index, Re, Im, modulus, argument, residual."""
-    with open(path, "w") as f:
-        f.write("# j re_lambda im_lambda modulus argument residual\n")
-        for j, lam in enumerate(dec.eigenvalues, start=1):
-            f.write(f"{j} {lam.real:.17e} {lam.imag:.17e} "
-                    f"{abs(lam):.17e} {np.angle(lam):.17e} {dec.residuals[j - 1]:.17e}\n")
+    lam = dec.eigenvalues
+    # hypot, not np.abs: the vectorized complex abs can differ in the last bit
+    write_table(path, ["j re_lambda im_lambda modulus argument residual"],
+                [np.arange(1, len(lam) + 1), lam, np.hypot(lam.real, lam.imag),
+                 np.angle(lam), dec.residuals])

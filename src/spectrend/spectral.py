@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .operator import SpectralDecomposition
-
-_IM_TOL = 1e-10
+from ._table import write_table
+from .operator import _PAIR_TOL, SpectralDecomposition
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,7 +47,7 @@ def eigenperiod(lam: complex, s: int, dt: float = 1.0) -> float:
     reported as such.
     """
     arg = abs(np.angle(lam))
-    if arg <= _IM_TOL:
+    if arg <= _PAIR_TOL:
         raise ValueError(f"eigenvalue {lam!r} is real; period undefined (infinite)")
     return 2.0 * math.pi * s * dt / arg
 
@@ -176,7 +175,7 @@ def regime_localization(mode_series, mask) -> float:
 def trend_mode(dec: SpectralDecomposition):
     """First nontrivial real mode: returns (1-based index, Re v)."""
     for j in range(1, dec.n_modes):
-        if dec.pair_index[j] < 0 and abs(dec.eigenvalues[j].imag) <= _IM_TOL:
+        if dec.pair_index[j] < 0 and abs(dec.eigenvalues[j].imag) <= _PAIR_TOL:
             return j + 1, dec.right_vectors[:, j].real
     raise ValueError("no nontrivial real eigenvalue among the retained modes")
 
@@ -184,38 +183,30 @@ def trend_mode(dec: SpectralDecomposition):
 def nearest_pair(dec: SpectralDecomposition, period: float):
     """1-based index of the positive-frequency pair member whose period is
     closest to ``period``; None when the decomposition has no pairs."""
-    best = None
-    for j in range(dec.n_modes):
-        if dec.pair_index[j] >= 0 and dec.eigenvalues[j].imag > 0:
-            p = eigenperiod(dec.eigenvalues[j], dec.s, dec.dt)
-            score = abs(p - period)
-            if best is None or score < best[0]:
-                best = (score, j + 1)
-    return None if best is None else best[1]
+    upper = [j for j in range(dec.n_modes)
+             if dec.pair_index[j] >= 0 and dec.eigenvalues[j].imag > 0]
+    best = min(upper, default=None,
+               key=lambda j: abs(eigenperiod(dec.eigenvalues[j], dec.s, dec.dt) - period))
+    return None if best is None else best + 1
+
+
+def _write_modes(reports: Sequence, dest, fmt=None) -> None:
+    write_table(dest, ["j re_lambda im_lambda period amplitude kind"],
+                [[r.index for r in reports], [r.eigenvalue for r in reports],
+                 [math.inf if r.period is None else r.period for r in reports],
+                 [r.amplitude for r in reports], [r.kind for r in reports]], fmt)
 
 
 def write_mode_table(reports: Sequence, path) -> None:
     """Mode table: j, Re, Im, period (inf for real modes), amplitude, kind."""
-    with open(path, "w") as f:
-        f.write("# j re_lambda im_lambda period amplitude kind\n")
-        for r in reports:
-            period = "inf" if r.period is None else f"{r.period:.17e}"
-            f.write(f"{r.index} {r.eigenvalue.real:.17e} {r.eigenvalue.imag:.17e} "
-                    f"{period} {r.amplitude:.17e} {r.kind}\n")
+    _write_modes(reports, path)
 
 
 def write_projection(proj: Projection, path) -> None:
-    ser = np.atleast_2d(proj.series.T).T
+    """Reconstruction table: time, then one value (or Re, Im pair) per component."""
     times = proj.row_times
     if times is None:
-        times = np.arange(ser.shape[0], dtype=float)
-    with open(path, "w") as f:
-        f.write(f"# modes {','.join(str(i) for i in proj.indices)}"
-                f" real={'yes' if proj.realness else 'no'}\n")
-        f.write("# time value...\n")
-        for t, row in zip(times, ser):
-            if np.iscomplexobj(row):
-                vals = " ".join(f"{v.real:.17e} {v.imag:.17e}" for v in row)
-            else:
-                vals = " ".join(f"{v:.17e}" for v in row)
-            f.write(f"{t:.17e} {vals}\n")
+        times = np.arange(len(proj.series), dtype=float)
+    write_table(path, [f"modes {','.join(str(i) for i in proj.indices)}"
+                       f" real={'yes' if proj.realness else 'no'}", "time value..."],
+                [times, proj.series])

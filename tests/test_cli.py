@@ -95,6 +95,29 @@ class TestAnalyze:
         assert code == 2
         assert "unknown config section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, tag", [
+        # the config shape an earlier README showed: model as a bare string
+        ({"source": {"kind": "synthetic", "model": "F", "n_steps": 2000, "seed": 11}},
+         "[config]"),
+        ({"source": {"model": "F"}}, "[config]"),
+        ({"operator": {"stepz": 3}}, "[config]"),
+        ({"operator": {"knn": True}}, "[validate]"),
+        ({"embedding": {"Q": True}}, "[validate]"),
+        ({"reconstruct": {"indices": [True]}}, "[validate]"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, tag):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error {tag}")
+
+    def test_bool_step_count_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"model": {"kind": "F", "n_steps": True}}}))
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "[model-config]" in capsys.readouterr().err
+
     def test_embedding_too_long_exits_2(self, tmp_path, capsys):
         code = main(["analyze", "--model", "F", "--Q", "300", "--lag", "10",
                      "--out", str(tmp_path / "o")])

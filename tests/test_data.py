@@ -14,6 +14,7 @@ from spectrend.data import (
     scatter_back,
     write_timeseries,
 )
+from spectrend.embed import delay_embed
 
 
 def write_lines(path, lines):
@@ -180,6 +181,17 @@ def write_stack(path, snapshots, ny, nx, sentinel=-999.0):
 
 
 class TestFieldStack:
+    def test_embedded_field_is_c_ordered(self, tmp_path):
+        # the kept-cell gather is column-strided; distances over strided
+        # delay vectors run several times slower
+        p = tmp_path / "stack.txt"
+        snaps = np.arange(48.0).reshape(12, 4)
+        snaps[:, 2] = -999.0
+        write_stack(p, snaps, 2, 2)
+        series, _mask = load_field_stack(p)
+        for Q in (1, 2):
+            assert delay_embed(series, Q=Q, ell=1).points.flags.c_contiguous
+
     def test_sentinel_cell_dropped(self, tmp_path):
         p = tmp_path / "stack.txt"
         snaps = [[1.0, 2.0, 3.0, -999.0], [5.0, 6.0, 7.0, -999.0]]

@@ -21,6 +21,16 @@ def random_cloud(n=50, dim=3, seed=0):
     return np.random.default_rng(seed).random((n, dim))
 
 
+def reference_pairs(w):
+    """Conjugate-pair bookkeeping as a plain loop over adjacent eigenvalues."""
+    pair = np.full(len(w), -1)
+    for j in range(len(w) - 1):
+        if (abs(w[j].imag) > 1e-10 and pair[j] < 0
+                and abs(w[j + 1] - np.conj(w[j])) <= 1e-9 * max(1.0, abs(w[j]))):
+            pair[j], pair[j + 1] = j + 1, j
+    return pair
+
+
 class TestKnnBandwidths:
     def test_line_k1(self):
         pts = np.array([[0.0], [1.0], [3.0]])
@@ -194,6 +204,13 @@ class TestEigendecompose:
                 k = dec.pair_index[j]
                 assert k >= 0
                 assert dec.eigenvalues[k] == pytest.approx(np.conj(lam), abs=1e-12)
+
+    def test_pairs_match_reference_loop(self):
+        for seed in range(12, 17):
+            S = kernel_matrix(random_cloud(60, seed=seed), 1, np.full(60, 0.3))
+            dec = eigendecompose(row_stochastic(S), 15)
+            assert np.any(dec.pair_index >= 0)
+            np.testing.assert_array_equal(dec.pair_index, reference_pairs(dec.eigenvalues))
 
     def test_biorthogonality(self):
         S = kernel_matrix(random_cloud(70, seed=10), 1, np.full(70, 0.3))

@@ -1,0 +1,34 @@
+"""The README's examples run as written."""
+
+import json
+import pathlib
+import re
+
+import numpy as np
+
+from spectrend import cli
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def code_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README, flags=re.S)
+
+
+def test_library_tour_runs():
+    (tour,) = code_blocks("python")
+    exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_config_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cfg, scalar_cfg = (json.loads(block) for block in code_blocks("json"))
+    (tmp_path / "run.json").write_text(json.dumps(run_cfg))
+    assert cli.main(["reconstruct", "--config", "run.json"]) == 0
+    assert (tmp_path / "run" / "reconstruction.txt").exists()
+
+    ages = np.arange(300.0)
+    np.savetxt(tmp_path / "record.txt", np.column_stack([ages, np.cos(ages / 7.0)]))
+    (tmp_path / "scalar.json").write_text(json.dumps(scalar_cfg))
+    assert cli.main(["analyze", "--config", "scalar.json", "--out", "scalar"]) == 0
+    assert (tmp_path / "scalar" / "periods.txt").exists()
