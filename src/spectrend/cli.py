@@ -95,6 +95,13 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _parse_indices(text) -> list:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ValueError(f"--indices must be comma-separated integers, got {text!r}") from None
+
+
 def resolve_config(args) -> dict:
     cfg = copy.deepcopy(_DEFAULTS)
     if getattr(args, "config", None):
@@ -109,7 +116,7 @@ def resolve_config(args) -> dict:
         else:
             cfg[section][key] = val
     if getattr(args, "indices", None):
-        cfg["reconstruct"]["indices"] = [int(tok) for tok in args.indices.split(",") if tok]
+        cfg["reconstruct"]["indices"] = _run_stage("config", _parse_indices, args.indices)
     cfg["output"]["dir"] = getattr(args, "out", None) or cfg["output"]["dir"] \
         or os.environ.get(ENV_OUT) or "spectrend_out"
     return cfg
@@ -160,21 +167,31 @@ def _load_source(cfg) -> data.TimeSeries:
     return series
 
 
+def _anomalies(series, anom) -> data.TimeSeries:
+    if not isinstance(anom, dict) or not {"window", "cycle"} <= anom.keys():
+        raise ValueError('preprocess anomaly must be {"window": [start, stop], '
+                         f'"cycle": n}}, got {anom!r}')
+    return data.anomalies(series, tuple(anom["window"]), int(anom["cycle"]))
+
+
+def _write_run_config(cfg) -> None:
+    os.makedirs(cfg["output"]["dir"], exist_ok=True)
+    with open(os.path.join(cfg["output"]["dir"], "run_config.json"), "w") as f:
+        json.dump(cfg, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _analyze(args):
     """Resolve, check and echo the config, then run every stage up to the
     eigenpairs.  Returns (config, series, operator, decomposition, h), where
     h is the (n, d) observations aligned to the operator's rows."""
     cfg = resolve_config(args)
     _run_stage("validate", _validate, cfg)
-    os.makedirs(cfg["output"]["dir"], exist_ok=True)
-    with open(os.path.join(cfg["output"]["dir"], "run_config.json"), "w") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _run_stage("output", _write_run_config, cfg)
     series = _load_source(cfg)
     anom = cfg["preprocess"].get("anomaly")
     if anom:
-        series = _run_stage("anomalies", data.anomalies, series,
-                            tuple(anom["window"]), int(anom["cycle"]))
+        series = _run_stage("anomalies", _anomalies, series, anom)
     emb = _run_stage("embed", embed.delay_embed, series,
                      cfg["embedding"]["Q"], cfg["embedding"]["lag"])
     opr = _run_stage("operator", operator.build_operator, emb,
@@ -193,7 +210,7 @@ def cmd_synth(args) -> int:
     config = _run_stage("model-config", _model_config, cfg)
     traj = _run_stage("simulate", models.simulate, config)
     out_dir = cfg["output"]["dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    _run_stage("output", os.makedirs, out_dir, exist_ok=True)
     series_path = os.path.join(out_dir, "series.txt")
     meta_path = os.path.join(out_dir, "series.meta.json")
     models.write_trajectory(traj, series_path, meta_path)

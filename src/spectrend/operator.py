@@ -11,6 +11,16 @@ always an eigenvalue with constant eigenvector; the rest of the dominant
 spectrum carries trends (real eigenvalues) and oscillations (conjugate
 pairs).  Right eigenvectors come with dual (left) eigenvectors normalized to
 a biorthogonal system, which is what makes spectral projections work.
+
+Only the leading modes are computed: ARPACK's implicitly restarted Arnoldi
+method (``scipy.sparse.linalg.eigs``) runs on P for the right vectors and on
+P^T for the left ones, so the cost grows with the requested mode count
+rather than as N^3.  The full dense LAPACK ``eig`` is the fallback in four
+cases: the request is too large for ARPACK (modes + 2 >= N - 1); ARPACK fails
+or does not converge within ``_KRYLOV_RESTARTS`` restarts; an eigenvalue
+outside the computed set may tie in modulus with the last retained mode, so
+ARPACK's choice among tied values could differ from the ordering convention;
+or the left and right eigenvalues of the retained set do not match.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from ._table import write_table
 
 _PAIR_TOL = 1e-10      # |Im| below this is real; relative gap below this is conjugate
 _MOD_DECIMALS = 9      # modulus quantization for ordering ties
+_KRYLOV_RESTARTS = 50  # ARPACK restart budget before the dense fallback
 
 
 class NumericalError(RuntimeError):
@@ -145,6 +156,9 @@ def row_stochastic(S: np.ndarray, s: int = 1, K: int = 0, dt: float = 1.0,
         raise NumericalError(
             f"kernel row {dead[0]} sums to zero (isolated point); cannot normalize")
     P = S / sums[:, None]
+    # Entries below eps are negligible against each row's sum of 1, but the
+    # many subnormal ones make every matrix product several times slower.
+    P[P < np.finfo(float).eps] = 0.0
     return MarkovOperator(P=P, s=s, K=K, dt=dt, bandwidths=bandwidths, row_times=row_times)
 
 
@@ -171,6 +185,62 @@ def _pair_starts(a, b):
         np.abs(b - np.conj(a)) <= _PAIR_TOL * np.maximum(1.0, np.abs(a)))
 
 
+def _retained(w: np.ndarray, m: int) -> int:
+    """Mode count m, widened by one where position m would split a conjugate pair."""
+    return m + 1 if m < len(w) and _pair_starts(w[m - 1], w[m]) else m
+
+
+def _dense_eigs(P: np.ndarray):
+    """All eigenvalues of P with left and right vectors, in mode order."""
+    try:
+        w, vl, vr = scipy.linalg.eig(P, left=True, right=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    order = _order_keys(w)
+    return w[order], vl[:, order], vr[:, order]
+
+
+def _leading_eigs(P: np.ndarray, m: int):
+    """Leading eigenvalues of P in mode order, with left and right vectors.
+
+    Returns at least ``_retained(w, m)`` modes.  The left vector of mode j is
+    an eigenvector of P^T at conj(w_j), as ``scipy.linalg.eig`` returns it.
+    """
+    n = P.shape[0]
+    k = m + 2
+    if k >= n - 1:
+        return _dense_eigs(P)
+    import scipy.sparse.linalg as sla    # deferred: keeps the CLI import cheap
+
+    # A fixed random start keeps runs reproducible; ones would not do, being
+    # the lambda = 1 eigenvector.  ncv = 4k needs far fewer restarts than
+    # ARPACK's default 2k + 1 on the clustered spectra near 1.
+    opts = dict(k=k, ncv=min(n, 4 * k), maxiter=_KRYLOV_RESTARTS,
+                v0=np.random.default_rng(0).standard_normal(n))
+    try:
+        w, vr = sla.eigs(P, **opts)
+        mu, vl = sla.eigs(P.T, **opts)
+    except sla.ArpackError:
+        return _dense_eigs(P)
+    order = _order_keys(w)
+    w, vr = w[order], vr[:, order]
+    order = _order_keys(np.conj(mu))
+    mu, vl = mu[order], vl[:, order]
+    r = _retained(w, m)
+    rounded = np.round(np.abs(w), _MOD_DECIMALS)
+    # an eigenvalue ARPACK did not return has modulus <= min |w|, so the
+    # retained set is the leading one only if that bound sorts strictly after it
+    if rounded[-1] >= rounded[r - 1] or np.any(
+            np.abs(np.conj(mu[:r]) - w[:r]) > _PAIR_TOL):
+        return _dense_eigs(P)
+    return w, vl, vr
+
+
+def _matmul(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """A @ V for real A and complex V, without a complex copy of A."""
+    return A @ V.real + 1j * (A @ V.imag)
+
+
 def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecomposition:
     """Top-m eigenpairs of P with duals from the transposed matrix.
 
@@ -186,15 +256,9 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
         m = n
     if not 1 <= m <= n:
         raise ValueError(f"mode count m must lie in [1, {n}], got {m}")
-    try:
-        w, vl, vr = scipy.linalg.eig(P, left=True, right=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    order = _order_keys(w)
-    w, vl, vr = w[order], vl[:, order], vr[:, order]
+    w, vl, vr = _leading_eigs(P, m)
     # do not split a conjugate pair at the retention boundary
-    if m < n and _pair_starts(w[m - 1], w[m]):
-        m += 1
+    m = _retained(w, m)
     w, vl, vr = w[:m], vl[:, :m], vr[:, :m]
 
     pair = np.full(m, -1, dtype=int)
@@ -202,29 +266,20 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     pair[starts], pair[starts + 1] = starts + 1, starts
     real = np.abs(w.imag) <= _PAIR_TOL
     w[real] = w[real].real
-    degenerate = []
-    residuals = np.empty(m)
-    dual_residuals = np.empty(m)
-    for j in range(m):
-        v = vr[:, j]
-        v = v / np.linalg.norm(v)
-        k = int(np.argmax(np.abs(v)))
-        phase = v[k] / abs(v[k])
-        v = v / phase
-        vr[:, j] = v
-        residuals[j] = np.linalg.norm(P @ v - w[j] * v)
-        u = vl[:, j]
-        dual_residuals[j] = np.linalg.norm(P.T @ u - np.conj(w[j]) * u) / np.linalg.norm(u)
-        c = np.vdot(u, v)
-        if abs(c) < 1e-12 * np.linalg.norm(u):
-            degenerate.append(j)
-            vl[:, j] = u / np.linalg.norm(u)
-        else:
-            vl[:, j] = u / np.conj(c)
+    vr = vr / np.linalg.norm(vr, axis=0)
+    peak = vr[np.argmax(np.abs(vr), axis=0), np.arange(m)]
+    vr = vr / (peak / np.abs(peak))
+    residuals = np.linalg.norm(_matmul(P, vr) - vr * w, axis=0)
+    unorm = np.linalg.norm(vl, axis=0)
+    dual_residuals = np.linalg.norm(_matmul(P.T, vl) - vl * np.conj(w), axis=0) / unorm
+    c = np.sum(np.conj(vl) * vr, axis=0)
+    degenerate = np.abs(c) < 1e-12 * unorm
+    vl = vl / np.where(degenerate, unorm, np.conj(c))
     return SpectralDecomposition(
         eigenvalues=w, right_vectors=vr, dual_vectors=vl, pair_index=pair,
         residuals=residuals, dual_residuals=dual_residuals,
-        degenerate=tuple(degenerate), s=op.s, dt=op.dt, row_times=op.row_times)
+        degenerate=tuple(np.flatnonzero(degenerate).tolist()), s=op.s, dt=op.dt,
+        row_times=op.row_times)
 
 
 def write_eigenvalue_table(dec: SpectralDecomposition, path) -> None:

@@ -50,6 +50,15 @@ class TestSynth:
         assert (target / "series.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "analyze"])
+def test_output_dir_below_a_file_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    code = main([command, "--model", "F", "--steps", "300", "--out", str(blocker / "sub")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error [output]")
+
+
 class TestAnalyze:
     def test_default_switching_run_tables(self, tmp_path):
         out = tmp_path / "o"
@@ -112,6 +121,16 @@ class TestAnalyze:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error {tag}")
 
+    @pytest.mark.parametrize("anomaly", [{"cycle": 12}, {"window": [0, 120]}, 12])
+    def test_incomplete_anomaly_config_exits_2(self, tmp_path, capsys, anomaly):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"preprocess": {"anomaly": anomaly}}))
+        code = main(["analyze", "--steps", "300", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [anomalies]") and "window" in err
+
     def test_bool_step_count_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"source": {"model": {"kind": "F", "n_steps": True}}}))
@@ -169,6 +188,13 @@ class TestReconstruct:
                      "--knn", "15", "--indices", "99", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "out of range" in capsys.readouterr().err
+
+    def test_non_integer_index_exits_2(self, tmp_path, capsys):
+        code = main(["reconstruct", "--model", "F", "--steps", "300",
+                     "--indices", "2,x", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]") and "'2,x'" in err
 
 
 class TestPeriods:

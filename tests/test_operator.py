@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import spectrend.operator
 from spectrend.embed import delay_embed
 from spectrend.models import ModelConfig, simulate
 from spectrend.operator import (
@@ -252,6 +253,139 @@ class TestEigendecompose:
         lam_slow = dec.eigenvalues[j_slow - 1]
         assert lam_fast == pytest.approx(0.9866 + 0.1547j, abs=0.015)
         assert lam_slow == pytest.approx(0.9954 + 0.0660j, abs=0.015)
+
+
+class TestKrylovPath:
+    """The leading-mode ARPACK solve against the full LAPACK decomposition."""
+
+    @pytest.fixture
+    def dense_calls(self, monkeypatch):
+        calls = []
+        dense = spectrend.operator._dense_eigs
+
+        def spy(P):
+            calls.append(P.shape)
+            return dense(P)
+
+        monkeypatch.setattr(spectrend.operator, "_dense_eigs", spy)
+        return calls
+
+    @staticmethod
+    def kernel_operator(seed):
+        pts = random_cloud(301, 3, seed=seed)
+        return row_stochastic(kernel_matrix(pts, 1, knn_bandwidths(pts, 8)))
+
+    @staticmethod
+    def assert_matches_dense(dec, op):
+        full = eigendecompose(op)
+        r = dec.n_modes
+        np.testing.assert_allclose(dec.eigenvalues, full.eigenvalues[:r], rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(dec.pair_index, full.pair_index[:r])
+        V, Vd = dec.right_vectors, full.right_vectors[:, :r]
+        phase = np.sum(np.conj(Vd) * V, axis=0)
+        phase /= np.abs(phase)
+        np.testing.assert_allclose(V, Vd * phase, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dec.dual_vectors, full.dual_vectors[:, :r] * phase,
+                                   rtol=0, atol=1e-10)
+        G = dec.dual_vectors.conj().T @ V
+        np.testing.assert_allclose(G, np.eye(r), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dec.residuals, full.residuals[:r], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dec.dual_residuals, full.dual_residuals[:r],
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_leading_modes_match_dense(self, dense_calls, seed):
+        op = self.kernel_operator(seed)
+        assert op.n == 300
+        dec = eigendecompose(op, 10)
+        assert dense_calls == []
+        assert not dec.degenerate
+        self.assert_matches_dense(dec, op)
+
+    def test_normalization_matches_reference_loop(self):
+        # reference: one mode at a time, complex matvecs, no block products
+        op = self.kernel_operator(2)
+        P = op.P
+        w, vl, vr = spectrend.operator._leading_eigs(P, 10)
+        dec = eigendecompose(op, 10)
+        m = dec.n_modes
+        w, vl, vr = w[:m].copy(), vl[:, :m].copy(), vr[:, :m].copy()
+        w[np.abs(w.imag) <= 1e-10] = w[np.abs(w.imag) <= 1e-10].real
+        residuals, dual_residuals, degenerate = np.empty(m), np.empty(m), []
+        for j in range(m):
+            v = vr[:, j] / np.linalg.norm(vr[:, j])
+            k = int(np.argmax(np.abs(v)))
+            v = v / (v[k] / abs(v[k]))
+            vr[:, j] = v
+            residuals[j] = np.linalg.norm(P @ v - w[j] * v)
+            u = vl[:, j]
+            dual_residuals[j] = np.linalg.norm(P.T @ u - np.conj(w[j]) * u) / np.linalg.norm(u)
+            c = np.vdot(u, v)
+            if abs(c) < 1e-12 * np.linalg.norm(u):
+                degenerate.append(j)
+                vl[:, j] = u / np.linalg.norm(u)
+            else:
+                vl[:, j] = u / np.conj(c)
+        np.testing.assert_array_equal(dec.eigenvalues, w)
+        np.testing.assert_allclose(dec.right_vectors, vr, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(dec.dual_vectors, vl, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dec.residuals, residuals, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(dec.dual_residuals, dual_residuals, rtol=0, atol=1e-14)
+        assert dec.degenerate == tuple(degenerate)
+
+    def test_modulus_tie_across_cut_falls_back(self, dense_calls):
+        # 40 eigenvalues of modulus 1: ARPACK does not converge on the cycle
+        op = MarkovOperator(P=np.roll(np.eye(40), 1, axis=1), s=1, K=1)
+        dec = eigendecompose(op, 5)
+        assert dense_calls == [(40, 40)]
+        z = np.exp(2j * np.pi / 40.0)
+        np.testing.assert_allclose(dec.eigenvalues, [1.0, z, z.conjugate(), z**2, z.conjugate()**2],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(dec.pair_index, [-1, 2, 1, 4, 3])
+
+    def test_converged_tie_across_cut_falls_back(self, dense_calls):
+        # 20 disjoint two-state swaps: eigenvalues +1 and -1, twenty each.
+        # ARPACK converges to a mix of both, the same on P and P^T.
+        op = MarkovOperator(P=np.kron(np.eye(20), [[0.0, 1.0], [1.0, 0.0]]), s=1, K=1)
+        dec = eigendecompose(op, 8)
+        assert dense_calls == [(40, 40)]
+        np.testing.assert_allclose(dec.eigenvalues, np.ones(8), rtol=0, atol=1e-12)
+
+    def test_left_right_mismatch_falls_back(self, dense_calls, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        eigs, calls = sla.eigs, []
+
+        def eigs_shifting_left(A, **kwargs):
+            calls.append(A.shape)
+            mu, vectors = eigs(A, **kwargs)
+            return (mu + 1e-6 if len(calls) == 2 else mu), vectors
+
+        monkeypatch.setattr(sla, "eigs", eigs_shifting_left)
+        op = self.kernel_operator(0)
+        dec = eigendecompose(op, 10)
+        assert len(calls) == 2 and dense_calls[0] == (300, 300)
+        self.assert_matches_dense(dec, op)
+
+    def test_restart_budget_exhausted_falls_back(self, dense_calls, monkeypatch):
+        monkeypatch.setattr(spectrend.operator, "_KRYLOV_RESTARTS", 1)
+        op = self.kernel_operator(0)
+        dec = eigendecompose(op, 10)
+        assert dense_calls[0] == (300, 300)
+        self.assert_matches_dense(dec, op)
+
+    def test_row_stochastic_flushes_entries_below_eps(self):
+        # distant clusters make many kernel entries tiny or subnormal
+        pts = np.concatenate([random_cloud(40, 2, seed=3), random_cloud(40, 2, seed=4) + 3.0])
+        S = kernel_matrix(pts, 1, knn_bandwidths(pts, 5))
+        eps = np.finfo(float).eps
+        raw = S / S.sum(axis=1)[:, None]
+        assert np.any((raw > 0) & (raw < eps))
+        P = row_stochastic(S).P
+        assert not np.any((P > 0) & (P < eps))
+        kept = raw >= eps
+        np.testing.assert_array_equal(P[kept], raw[kept])
+        np.testing.assert_array_equal(P[~kept], 0.0)
 
 
 class TestEigenvalueTable:
