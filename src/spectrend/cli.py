@@ -213,7 +213,7 @@ def cmd_synth(args) -> int:
     _run_stage("output", os.makedirs, out_dir, exist_ok=True)
     series_path = os.path.join(out_dir, "series.txt")
     meta_path = os.path.join(out_dir, "series.meta.json")
-    models.write_trajectory(traj, series_path, meta_path)
+    _run_stage("output", models.write_trajectory, traj, series_path, meta_path)
     print(f"wrote {series_path} and {meta_path}")
     return 0
 
@@ -222,12 +222,14 @@ def cmd_analyze(args) -> int:
     cfg, series, opr, dec, h = _analyze(args)
     out_dir = cfg["output"]["dir"]
     reports = _run_stage("classify", spectral.classify_modes, dec, h[:, 0])
-    operator.write_eigenvalue_table(dec, os.path.join(out_dir, "eigenvalues.txt"))
-    spectral.write_mode_table(reports, os.path.join(out_dir, "periods.txt"))
+    _run_stage("output", operator.write_eigenvalue_table, dec,
+               os.path.join(out_dir, "eigenvalues.txt"))
+    _run_stage("output", spectral.write_mode_table, reports,
+               os.path.join(out_dir, "periods.txt"))
     times = dec.row_times if dec.row_times is not None else np.arange(opr.n, dtype=float)
-    _table.write_table(os.path.join(out_dir, "modes.txt"),
-                       ["time " + " ".join(f"mode_{r.index}" for r in reports)],
-                       [times] + [r.time_series for r in reports])
+    _run_stage("output", _table.write_table, os.path.join(out_dir, "modes.txt"),
+               ["time " + " ".join(f"mode_{r.index}" for r in reports)],
+               [times] + [r.time_series for r in reports])
     print(f"analyzed {len(series)} samples -> {opr.n} operator rows; "
           f"tables in {out_dir}")
     return 0
@@ -243,7 +245,7 @@ def cmd_reconstruct(args) -> int:
         print(f"notice: index set extended with conjugate partner(s) {added}")
     proj = _run_stage("project", spectral.project, dec, closed, target)
     path = os.path.join(cfg["output"]["dir"], "reconstruction.txt")
-    spectral.write_projection(proj, path)
+    _run_stage("output", spectral.write_projection, proj, path)
     print(f"wrote {path} (modes {','.join(str(i) for i in closed)})")
     return 0
 

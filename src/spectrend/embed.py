@@ -75,6 +75,10 @@ def delay_embed(series, Q: int, ell: int, dt: float = 1.0, t0: float = 0.0) -> E
         arr = arr[:, None]
     if Q < 1 or ell < 1:
         raise ValueError(f"need Q >= 1 and ell >= 1, got Q={Q}, ell={ell}")
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise ValueError(f"series has {bad.size} non-finite sample(s) (NaN or inf), "
+                         f"first at index {bad[0]}")
     n_src, d = arr.shape
     n = n_src - (Q - 1) * ell
     if n <= 0:

@@ -15,12 +15,15 @@ a biorthogonal system, which is what makes spectral projections work.
 Only the leading modes are computed: ARPACK's implicitly restarted Arnoldi
 method (``scipy.sparse.linalg.eigs``) runs on P for the right vectors and on
 P^T for the left ones, so the cost grows with the requested mode count
-rather than as N^3.  The full dense LAPACK ``eig`` is the fallback in four
-cases: the request is too large for ARPACK (modes + 2 >= N - 1); ARPACK fails
-or does not converge within ``_KRYLOV_RESTARTS`` restarts; an eigenvalue
-outside the computed set may tie in modulus with the last retained mode, so
-ARPACK's choice among tied values could differ from the ordering convention;
-or the left and right eigenvalues of the retained set do not match.
+rather than as N^3.  ARPACK reads P only through matrix-vector products, so
+when at most ``_CSR_DENSITY`` (10%) of P's entries are nonzero, it and the
+residual products run on a CSR copy of P.  The full dense LAPACK ``eig`` of
+P is the fallback in four cases: the request is too large for ARPACK
+(modes + 2 >= N - 1); ARPACK fails or does not converge within
+``_KRYLOV_RESTARTS`` restarts; an eigenvalue outside the computed set may tie
+in modulus with the last retained mode, so ARPACK's choice among tied values
+could differ from the ordering convention; or the left and right eigenvalues
+of the retained set do not match.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -38,6 +42,12 @@ from ._table import write_table
 _PAIR_TOL = 1e-10      # |Im| below this is real; relative gap below this is conjugate
 _MOD_DECIMALS = 9      # modulus quantization for ordering ties
 _KRYLOV_RESTARTS = 50  # ARPACK restart budget before the dense fallback
+# Largest nonzero fraction of P at which ARPACK reads a CSR copy of it.  On a
+# 2-core Xeon a CSR matvec beats the dense one below about 0.2 nonzero:
+# 0.50 vs 1.9 ms at 0.059 (model F, n = 2979), 4.1 vs 1.7 ms at 0.455
+# (benthic, n = 2954), 0.080 vs 0.052 ms at 0.30 (40x40 field, n = 496, one
+# BLAS thread).  The cutoff sits well below that crossover.
+_CSR_DENSITY = 0.1
 
 
 class NumericalError(RuntimeError):
@@ -151,6 +161,12 @@ def row_stochastic(S: np.ndarray, s: int = 1, K: int = 0, dt: float = 1.0,
     """Normalize kernel rows to one, yielding the Markov matrix P."""
     S = np.asarray(S, dtype=float)
     sums = S.sum(axis=1)
+    # a NaN or inf entry makes its row sum non-finite
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        raise NumericalError(
+            f"kernel has non-finite entries in {bad.size} row(s), first row {bad[0]}: "
+            "squared distances overflow the float range; rescale the data")
     dead = np.flatnonzero(sums <= 0.0)
     if dead.size:
         raise NumericalError(
@@ -200,12 +216,15 @@ def _dense_eigs(P: np.ndarray):
     return w[order], vl[:, order], vr[:, order]
 
 
-def _leading_eigs(P: np.ndarray, m: int):
+def _leading_eigs(P: np.ndarray, m: int, A=None):
     """Leading eigenvalues of P in mode order, with left and right vectors.
 
     Returns at least ``_retained(w, m)`` modes.  The left vector of mode j is
     an eigenvector of P^T at conj(w_j), as ``scipy.linalg.eig`` returns it.
+    ARPACK reads ``A``, which is P (the default) or a sparse copy of it; the
+    dense fallback reads P.
     """
+    A = P if A is None else A
     n = P.shape[0]
     k = m + 2
     if k >= n - 1:
@@ -218,8 +237,8 @@ def _leading_eigs(P: np.ndarray, m: int):
     opts = dict(k=k, ncv=min(n, 4 * k), maxiter=_KRYLOV_RESTARTS,
                 v0=np.random.default_rng(0).standard_normal(n))
     try:
-        w, vr = sla.eigs(P, **opts)
-        mu, vl = sla.eigs(P.T, **opts)
+        w, vr = sla.eigs(A, **opts)
+        mu, vl = sla.eigs(A.T, **opts)
     except sla.ArpackError:
         return _dense_eigs(P)
     order = _order_keys(w)
@@ -236,8 +255,8 @@ def _leading_eigs(P: np.ndarray, m: int):
     return w, vl, vr
 
 
-def _matmul(A: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """A @ V for real A and complex V, without a complex copy of A."""
+def _matmul(A, V: np.ndarray) -> np.ndarray:
+    """A @ V for real (dense or sparse) A and complex V, without a complex copy of A."""
     return A @ V.real + 1j * (A @ V.imag)
 
 
@@ -256,7 +275,11 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
         m = n
     if not 1 <= m <= n:
         raise ValueError(f"mode count m must lie in [1, {n}], got {m}")
-    w, vl, vr = _leading_eigs(P, m)
+    # products with P cost less on a CSR copy when P is mostly zero
+    A = P
+    if m + 2 < n - 1 and np.count_nonzero(P) / P.size <= _CSR_DENSITY:
+        A = scipy.sparse.csr_array(P)
+    w, vl, vr = _leading_eigs(P, m, A)
     # do not split a conjugate pair at the retention boundary
     m = _retained(w, m)
     w, vl, vr = w[:m], vl[:, :m], vr[:, :m]
@@ -269,9 +292,9 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     vr = vr / np.linalg.norm(vr, axis=0)
     peak = vr[np.argmax(np.abs(vr), axis=0), np.arange(m)]
     vr = vr / (peak / np.abs(peak))
-    residuals = np.linalg.norm(_matmul(P, vr) - vr * w, axis=0)
+    residuals = np.linalg.norm(_matmul(A, vr) - vr * w, axis=0)
     unorm = np.linalg.norm(vl, axis=0)
-    dual_residuals = np.linalg.norm(_matmul(P.T, vl) - vl * np.conj(w), axis=0) / unorm
+    dual_residuals = np.linalg.norm(_matmul(A.T, vl) - vl * np.conj(w), axis=0) / unorm
     c = np.sum(np.conj(vl) * vr, axis=0)
     degenerate = np.abs(c) < 1e-12 * unorm
     vl = vl / np.where(degenerate, unorm, np.conj(c))

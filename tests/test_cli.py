@@ -59,6 +59,39 @@ def test_output_dir_below_a_file_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error [output]")
 
 
+@pytest.mark.parametrize("command, table", [("synth", "series.txt"),
+                                            ("analyze", "eigenvalues.txt"),
+                                            ("reconstruct", "reconstruction.txt")])
+def test_unwritable_table_exits_2(tmp_path, capsys, command, table):
+    out = tmp_path / "o"
+    (out / table).mkdir(parents=True)
+    code = main([command, "--model", "F", "--steps", "300", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error [output]")
+
+
+@pytest.mark.parametrize("scale, bad, Q, code, tag", [
+    (1.0, np.nan, 30, 2, "[embed]"),     # Q*1 > 25: the cdist neighbor search
+    (1.0, np.nan, 3, 2, "[embed]"),      # the cKDTree neighbor search
+    (1e200, 0.0, 3, 3, "[operator]"),    # squared distances overflow
+])
+def test_non_finite_input_is_stage_tagged(tmp_path, capfd, scale, bad, Q, code, tag):
+    t = np.arange(400.0)
+    v = scale * np.sin(2.0 * np.pi * t / 23.0)
+    v[200] += bad
+    record = tmp_path / "record.txt"
+    np.savetxt(record, np.column_stack([t, v]))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"source": {"kind": "scalar", "path": str(record)},
+                                    "embedding": {"Q": Q, "lag": 2},
+                                    "operator": {"knn": 8, "modes": 6}}))
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    captured = capfd.readouterr()
+    assert captured.err.startswith(f"error {tag}")
+    assert ("non-finite sample" if code == 2 else "overflow") in captured.err
+    assert "DLASCL" not in captured.out and "illegal value" not in captured.out
+
+
 class TestAnalyze:
     def test_default_switching_run_tables(self, tmp_path):
         out = tmp_path / "o"

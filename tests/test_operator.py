@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.spatial.distance import cdist
 
 import spectrend.operator
@@ -386,6 +391,74 @@ class TestKrylovPath:
         kept = raw >= eps
         np.testing.assert_array_equal(P[kept], raw[kept])
         np.testing.assert_array_equal(P[~kept], 0.0)
+
+
+class TestCsrOperand:
+    """ARPACK reads a CSR copy of P when at most _CSR_DENSITY of it is nonzero."""
+
+    @pytest.fixture
+    def operands(self, monkeypatch):
+        """The operands handed to eigs and to the dense fallback."""
+        import scipy.sparse.linalg as sla
+
+        calls = {"eigs": [], "dense": []}
+        eigs, dense = sla.eigs, spectrend.operator._dense_eigs
+
+        def eigs_spy(A, **kwargs):
+            calls["eigs"].append(A)
+            return eigs(A, **kwargs)
+
+        def dense_spy(P):
+            calls["dense"].append(P)
+            return dense(P)
+
+        monkeypatch.setattr(sla, "eigs", eigs_spy)
+        monkeypatch.setattr(spectrend.operator, "_dense_eigs", dense_spy)
+        return calls
+
+    @staticmethod
+    def circle_operator():
+        # one tone delay-embedded onto a circle that it winds around many
+        # times; with K=3 each point's kernel reaches only its arc of it
+        h = np.cos(2.0 * np.pi * np.arange(330.0) / 37.7)
+        return build_operator(delay_embed(h, Q=2, ell=9), 1, 3)
+
+    def test_sparse_operator_runs_on_csr(self, operands):
+        op = self.circle_operator()
+        assert op.n == 320
+        assert np.count_nonzero(op.P) / op.P.size < spectrend.operator._CSR_DENSITY
+        dec = eigendecompose(op, 10)
+        assert len(operands["eigs"]) == 2
+        assert all(scipy.sparse.issparse(A) for A in operands["eigs"])
+        assert operands["dense"] == []
+        assert isinstance(op.P, np.ndarray)
+        TestKrylovPath.assert_matches_dense(dec, op)
+
+    def test_dense_operator_runs_on_ndarray(self, operands):
+        op = TestKrylovPath.kernel_operator(0)
+        assert np.count_nonzero(op.P) / op.P.size > spectrend.operator._CSR_DENSITY
+        eigendecompose(op, 10)
+        assert len(operands["eigs"]) == 2
+        assert all(type(A) is np.ndarray for A in operands["eigs"])
+        assert operands["dense"] == []
+
+    def test_fallback_reads_dense_matrix(self, operands):
+        # 2.5% nonzero, so ARPACK tries the CSR copy first and gives up
+        op = MarkovOperator(P=np.roll(np.eye(40), 1, axis=1), s=1, K=1)
+        dec = eigendecompose(op, 5)
+        assert operands["eigs"] and all(scipy.sparse.issparse(A) for A in operands["eigs"])
+        assert len(operands["dense"]) == 1 and operands["dense"][0] is op.P
+        z = np.exp(2j * np.pi / 40.0)
+        np.testing.assert_allclose(dec.eigenvalues, [1.0, z, z.conjugate(), z**2, z.conjugate()**2],
+                                   rtol=0, atol=1e-12)
+
+    def test_cli_import_defers_sparse_linalg(self):
+        src = os.path.dirname(os.path.dirname(spectrend.operator.__file__))
+        code = "import sys, spectrend.cli; print('scipy.sparse.linalg' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestEigenvalueTable:
