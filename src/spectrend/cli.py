@@ -32,7 +32,7 @@ _DEFAULTS = {
     "source": {"kind": "synthetic", "model": {"kind": "F"}},
     "preprocess": {},
     "embedding": {"Q": 3, "lag": 10},
-    "operator": {"step": 1, "knn": 25, "modes": 12, "duplicate_tol": 0.0},
+    "operator": {"step": 1, "knn": 25, "modes": 12},
     "reconstruct": {"indices": [1]},
     "output": {"dir": None},
 }
@@ -195,8 +195,7 @@ def _analyze(args):
     emb = _run_stage("embed", embed.delay_embed, series,
                      cfg["embedding"]["Q"], cfg["embedding"]["lag"])
     opr = _run_stage("operator", operator.build_operator, emb,
-                     cfg["operator"]["step"], cfg["operator"]["knn"],
-                     duplicate_tol=cfg["operator"].get("duplicate_tol", 0.0))
+                     cfg["operator"]["step"], cfg["operator"]["knn"])
     modes = min(cfg["operator"]["modes"], opr.n)
     dec = _run_stage("eigendecompose", operator.eigendecompose, opr, modes)
     base = (emb.Q - 1) * emb.ell

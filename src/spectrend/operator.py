@@ -6,8 +6,10 @@ s-step-forward shift,
 
     S_ij = exp(-||h_i - h_{j+s}||^2 / (d_i d_{j+s})),   i, j = 1..N-s,
 
-and row normalization P_ij = S_ij / sum_j S_ij.  P is row stochastic, so 1 is
-always an eigenvalue with constant eigenvector; the rest of the dominant
+and row normalization P_ij = S_ij / sum_j S_ij.  The first two steps read one
+N x N matrix of squared distances between all points, computed once; the
+kernel overwrites its (N-s) x (N-s) block in place.  P is row stochastic, so
+1 is always an eigenvalue with constant eigenvector; the rest of the dominant
 spectrum carries trends (real eigenvalues) and oscillations (conjugate
 pairs).  Right eigenvectors come with dual (left) eigenvectors normalized to
 a biorthogonal system, which is what makes spectral projections work.
@@ -34,7 +36,6 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from ._table import write_table
@@ -96,52 +97,47 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
-def _as_points(points) -> np.ndarray:
-    pts = points.points if hasattr(points, "points") else np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"expected a 2-d point array, got shape {pts.shape}")
-    return pts
+def _as_sqdist(D2) -> np.ndarray:
+    D2 = np.asarray(D2, dtype=float)
+    if D2.ndim != 2 or D2.shape[0] != D2.shape[1]:
+        raise ValueError(f"expected a square matrix of squared distances, got shape {D2.shape}")
+    return D2
 
 
-def knn_bandwidths(points, K: int, duplicate_tol: float = 0.0) -> np.ndarray:
+def knn_bandwidths(D2, K: int) -> np.ndarray:
     """Distance from each point to its K-th nearest neighbor (self excluded).
 
-    Neighbors are searched over all N points.  A K-th neighbor distance of
-    exactly zero means at least K+1 coincident points and raises
-    NumericalError, since a zero bandwidth makes the kernel undefined.
-    ``duplicate_tol`` optionally tightens that check to a fraction of the
-    data diameter (useful to catch near-duplicates early; default 0 keeps
-    legitimately tight clusters usable).
+    ``D2`` holds the squared distances between all N points, so neighbors
+    are searched over all of them.  A K-th neighbor distance of exactly zero
+    means at least K+1 coincident points and raises NumericalError, since a
+    zero bandwidth makes the kernel undefined; so does an overflowed one.
     """
-    pts = _as_points(points)
-    n = len(pts)
+    D2 = _as_sqdist(D2)
+    n = len(D2)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if K >= n:
         raise ValueError(f"K={K} needs at least K+1={K + 1} points, have {n}")
-    if pts.shape[1] <= 25:
-        dist, _ = cKDTree(pts).query(pts, k=K + 1)
-        d = np.ascontiguousarray(dist[:, K])
-    else:
-        full = cdist(pts, pts)
-        d = np.partition(full, K, axis=1)[:, K]
-    threshold = 0.0
-    if duplicate_tol > 0.0:
-        span = pts.max(axis=0) - pts.min(axis=0)
-        threshold = duplicate_tol * float(np.linalg.norm(span))
-    bad = np.flatnonzero(d <= threshold)
+    d = np.sqrt(np.partition(D2, K, axis=1)[:, K])
+    if not np.all(np.isfinite(d)):
+        raise NumericalError("squared distances overflow the float range; rescale the data")
+    bad = np.flatnonzero(d <= 0.0)
     if bad.size:
         raise NumericalError(
-            f"zero bandwidth: K={K}-th neighbor distance is "
-            f"{'0' if threshold == 0 else f'<= {threshold:.3e}'} at "
+            f"zero bandwidth: K={K}-th neighbor distance is 0 at "
             f"{bad.size} point(s), first at index {bad[0]} (duplicate points)")
     return d
 
 
-def kernel_matrix(points, s: int, bandwidths: np.ndarray) -> np.ndarray:
-    """Gaussian cross-kernel between the cloud and its s-step shift."""
-    pts = _as_points(points)
-    n_all = len(pts)
+def kernel_matrix(D2, s: int, bandwidths: np.ndarray) -> np.ndarray:
+    """Gaussian cross-kernel between the cloud and its s-step shift.
+
+    ``D2`` holds the squared distances between all N points.  The kernel is
+    computed in place on its block ``D2[:N-s, s:]``, which is returned, so
+    ``D2`` is overwritten.
+    """
+    D2 = _as_sqdist(D2)
+    n_all = len(D2)
     if s < 0 or s >= n_all:
         raise ValueError(f"forward step s must satisfy 0 <= s < N={n_all}, got {s}")
     d = np.asarray(bandwidths, dtype=float)
@@ -150,7 +146,7 @@ def kernel_matrix(points, s: int, bandwidths: np.ndarray) -> np.ndarray:
     if np.any(d <= 0):
         raise NumericalError("bandwidths must be strictly positive")
     n = n_all - s
-    S = cdist(pts[:n], pts[s:], "sqeuclidean")
+    S = D2[:n, s:]
     S /= np.outer(d[:n], d[s:])
     np.exp(-S, out=S)
     return S
@@ -178,10 +174,12 @@ def row_stochastic(S: np.ndarray, s: int = 1, K: int = 0, dt: float = 1.0,
     return MarkovOperator(P=P, s=s, K=K, dt=dt, bandwidths=bandwidths, row_times=row_times)
 
 
-def build_operator(emb, s: int, K: int, duplicate_tol: float = 0.0) -> MarkovOperator:
+def build_operator(emb, s: int, K: int) -> MarkovOperator:
     """Convenience: bandwidths + kernel + normalization from embedded data."""
-    d = knn_bandwidths(emb, K, duplicate_tol=duplicate_tol)
-    S = kernel_matrix(emb, s, d)
+    pts = getattr(emb, "points", emb)    # cdist rejects anything but 2-d points
+    D2 = cdist(pts, pts, "sqeuclidean")
+    d = knn_bandwidths(D2, K)
+    S = kernel_matrix(D2, s, d)
     dt = getattr(emb, "dt", 1.0)
     times = emb.timestamps(len(S)) if hasattr(emb, "timestamps") else None
     return row_stochastic(S, s=s, K=K, dt=dt, bandwidths=d, row_times=times)

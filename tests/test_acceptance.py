@@ -121,7 +121,7 @@ def test_criterion_2_operator_properties(capsys):
         # kNN oracle equivalence on 100 random points
         pts = np.random.default_rng(0).random((100, 3))
         brute = np.sort(cdist(pts, pts), axis=1)[:, 5]
-        np.testing.assert_array_equal(knn_bandwidths(pts, 5), brute)
+        np.testing.assert_array_equal(knn_bandwidths(cdist(pts, pts, "sqeuclidean"), 5), brute)
         # projection idempotence and cross-annihilation
         h, _ = rows_of(traj, emb, op.n)
         pair = conjugate_closure(dec, [2])

@@ -71,11 +71,11 @@ def test_unwritable_table_exits_2(tmp_path, capsys, command, table):
 
 
 @pytest.mark.parametrize("scale, bad, Q, code, tag", [
-    (1.0, np.nan, 30, 2, "[embed]"),     # Q*1 > 25: the cdist neighbor search
-    (1.0, np.nan, 3, 2, "[embed]"),      # the cKDTree neighbor search
+    (1.0, np.nan, 30, 2, "[embed]"),     # a NaN in a 30-dimensional cloud
+    (1.0, np.nan, 3, 2, "[embed]"),      # a NaN in a 3-dimensional cloud
     (1e200, 0.0, 3, 3, "[operator]"),    # squared distances overflow
 ])
-def test_non_finite_input_is_stage_tagged(tmp_path, capfd, scale, bad, Q, code, tag):
+def test_non_finite_input_is_stage_tagged(tmp_path, capfd, recwarn, scale, bad, Q, code, tag):
     t = np.arange(400.0)
     v = scale * np.sin(2.0 * np.pi * t / 23.0)
     v[200] += bad
@@ -90,6 +90,8 @@ def test_non_finite_input_is_stage_tagged(tmp_path, capfd, scale, bad, Q, code, 
     assert captured.err.startswith(f"error {tag}")
     assert ("non-finite sample" if code == 2 else "overflow") in captured.err
     assert "DLASCL" not in captured.out and "illegal value" not in captured.out
+    # outside pytest a RuntimeWarning would print to stderr ahead of the error
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestAnalyze:

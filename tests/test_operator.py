@@ -27,6 +27,10 @@ def random_cloud(n=50, dim=3, seed=0):
     return np.random.default_rng(seed).random((n, dim))
 
 
+def sqdist(pts):
+    return cdist(pts, pts, "sqeuclidean")
+
+
 def reference_pairs(w):
     """Conjugate-pair bookkeeping as a plain loop over adjacent eigenvalues."""
     pair = np.full(len(w), -1)
@@ -40,68 +44,58 @@ def reference_pairs(w):
 class TestKnnBandwidths:
     def test_line_k1(self):
         pts = np.array([[0.0], [1.0], [3.0]])
-        np.testing.assert_allclose(knn_bandwidths(pts, 1), [1.0, 1.0, 2.0])
+        np.testing.assert_allclose(knn_bandwidths(sqdist(pts), 1), [1.0, 1.0, 2.0])
 
     def test_line_k2(self):
         pts = np.array([[0.0], [1.0], [3.0]])
-        np.testing.assert_allclose(knn_bandwidths(pts, 2), [3.0, 2.0, 3.0])
+        np.testing.assert_allclose(knn_bandwidths(sqdist(pts), 2), [3.0, 2.0, 3.0])
 
-    def test_matches_brute_force_exactly(self):
-        pts = random_cloud(100, 3, seed=42)
-        got = knn_bandwidths(pts, 5)
+    @pytest.mark.parametrize("n, dim, seed, K", [(100, 3, 42, 5), (80, 30, 1, 4)],
+                             ids=["dim3", "dim30"])
+    def test_matches_brute_force_exactly(self, n, dim, seed, K):
+        pts = random_cloud(n, dim, seed=seed)
+        got = knn_bandwidths(sqdist(pts), K)
         full = cdist(pts, pts)
-        want = np.sort(full, axis=1)[:, 5]  # column 0 is the self distance
+        want = np.sort(full, axis=1)[:, K]  # column 0 is the self distance
         np.testing.assert_array_equal(got, want)
-
-    def test_matches_brute_force_high_dim(self):
-        # above the tree-dimension cutoff the dense path is used
-        pts = random_cloud(80, 30, seed=1)
-        got = knn_bandwidths(pts, 4)
-        want = np.sort(cdist(pts, pts), axis=1)[:, 4]
-        np.testing.assert_allclose(got, want, rtol=1e-15)
 
     def test_duplicate_points_raise(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(NumericalError, match="duplicate"):
-            knn_bandwidths(pts, 1)
+            knn_bandwidths(sqdist(pts), 1)
 
     def test_near_duplicates_pass_at_default_tolerance(self):
         pts = np.array([[0.0], [1e-13], [1.0], [2.0]])
-        d = knn_bandwidths(pts, 1)
+        d = knn_bandwidths(sqdist(pts), 1)
         assert np.all(d > 0)
-
-    def test_near_duplicates_caught_with_tolerance(self):
-        pts = np.array([[0.0], [1e-13], [1.0], [2.0]])
-        with pytest.raises(NumericalError):
-            knn_bandwidths(pts, 1, duplicate_tol=1e-12)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            knn_bandwidths(random_cloud(10), 10)
+            knn_bandwidths(sqdist(random_cloud(10)), 10)
 
     def test_k_too_small(self):
         with pytest.raises(ValueError):
-            knn_bandwidths(random_cloud(10), 0)
+            knn_bandwidths(sqdist(random_cloud(10)), 0)
 
 
 class TestKernelMatrix:
     def test_zero_distance_entry_is_one(self):
         pts = random_cloud(10)
         d = np.full(10, 0.7)
-        S = kernel_matrix(pts, 0, d)
+        S = kernel_matrix(sqdist(pts), 0, d)
         np.testing.assert_allclose(np.diag(S), 1.0, atol=1e-15)
 
     def test_unit_exponent_entry(self):
         # two points at squared distance d_i * d_j give exp(-1)
         pts = np.array([[0.0], [np.sqrt(6.0)]])
         d = np.array([2.0, 3.0])
-        S = kernel_matrix(pts, 0, d)
+        S = kernel_matrix(sqdist(pts), 0, d)
         assert S[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-15)
 
     def test_matches_direct_formula(self):
         pts = random_cloud(50, 3, seed=3)
-        d = knn_bandwidths(pts, 4)
-        S = kernel_matrix(pts, 1, d)
+        d = knn_bandwidths(sqdist(pts), 4)
+        S = kernel_matrix(sqdist(pts), 1, d)
         n = 49
         assert S.shape == (n, n)
         for i in (0, 17, 48):
@@ -113,16 +107,39 @@ class TestKernelMatrix:
     def test_bad_step(self):
         pts = random_cloud(10)
         with pytest.raises(ValueError):
-            kernel_matrix(pts, 10, np.ones(10))
+            kernel_matrix(sqdist(pts), 10, np.ones(10))
         with pytest.raises(ValueError):
-            kernel_matrix(pts, -1, np.ones(10))
+            kernel_matrix(sqdist(pts), -1, np.ones(10))
 
     def test_bad_bandwidths(self):
         pts = random_cloud(10)
         with pytest.raises(ValueError):
-            kernel_matrix(pts, 1, np.ones(9))
+            kernel_matrix(sqdist(pts), 1, np.ones(9))
         with pytest.raises(NumericalError):
-            kernel_matrix(pts, 1, np.zeros(10))
+            kernel_matrix(sqdist(pts), 1, np.zeros(10))
+
+    def test_non_square_distances_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            knn_bandwidths(np.ones((4, 5)), 1)
+        with pytest.raises(ValueError, match="square"):
+            kernel_matrix(np.ones((4, 5)), 1, np.ones(4))
+
+    def test_built_in_place_on_distances(self):
+        D2 = sqdist(random_cloud(10))
+        S = kernel_matrix(D2, 2, np.full(10, 0.5))
+        assert np.shares_memory(S, D2)
+
+    @pytest.mark.parametrize("dim", [3, 30])
+    def test_build_operator_computes_distances_once(self, monkeypatch, dim):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return cdist(*args, **kwargs)
+
+        monkeypatch.setattr(spectrend.operator, "cdist", spy)
+        build_operator(random_cloud(60, dim), 1, 5)
+        assert len(calls) == 1
 
 
 class TestRowStochastic:
@@ -131,7 +148,7 @@ class TestRowStochastic:
         np.testing.assert_allclose(op.P, [[0.5, 0.5], [0.25, 0.75]])
 
     def test_rows_sum_to_one(self):
-        S = kernel_matrix(random_cloud(50), 1, np.full(50, 0.5))
+        S = kernel_matrix(sqdist(random_cloud(50)), 1, np.full(50, 0.5))
         op = row_stochastic(S)
         np.testing.assert_allclose(op.P.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(op.P >= 0)
@@ -141,7 +158,7 @@ class TestRowStochastic:
             row_stochastic(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     def test_leading_eigenvalue_one_constant_vector(self):
-        S = kernel_matrix(random_cloud(50, seed=5), 1, np.full(50, 0.5))
+        S = kernel_matrix(sqdist(random_cloud(50, seed=5)), 1, np.full(50, 0.5))
         dec = eigendecompose(row_stochastic(S), 5)
         assert abs(dec.eigenvalues[0] - 1.0) < 1e-10
         v1 = dec.right_vectors[:, 0]
@@ -191,18 +208,19 @@ class TestEigendecompose:
             eigendecompose(op, 4)
 
     def test_residuals_small_on_random_operator(self):
-        S = kernel_matrix(random_cloud(80, seed=7), 1, knn_bandwidths(random_cloud(80, seed=7), 6))
+        pts = random_cloud(80, seed=7)
+        S = kernel_matrix(sqdist(pts), 1, knn_bandwidths(sqdist(pts), 6))
         dec = eigendecompose(row_stochastic(S), 10)
         assert np.all(dec.residuals < 1e-8)
         assert np.all(dec.dual_residuals < 1e-8)
 
     def test_spectral_radius_bounded(self):
-        S = kernel_matrix(random_cloud(60, seed=8), 2, np.full(60, 0.4))
+        S = kernel_matrix(sqdist(random_cloud(60, seed=8)), 2, np.full(60, 0.4))
         dec = eigendecompose(row_stochastic(S, s=2))
         assert np.all(np.abs(dec.eigenvalues) <= 1.0 + 1e-8)
 
     def test_spectrum_closed_under_conjugation(self):
-        S = kernel_matrix(random_cloud(60, seed=9), 1, np.full(60, 0.3))
+        S = kernel_matrix(sqdist(random_cloud(60, seed=9)), 1, np.full(60, 0.3))
         dec = eigendecompose(row_stochastic(S), 15)
         for j in range(dec.n_modes):
             lam = dec.eigenvalues[j]
@@ -213,13 +231,13 @@ class TestEigendecompose:
 
     def test_pairs_match_reference_loop(self):
         for seed in range(12, 17):
-            S = kernel_matrix(random_cloud(60, seed=seed), 1, np.full(60, 0.3))
+            S = kernel_matrix(sqdist(random_cloud(60, seed=seed)), 1, np.full(60, 0.3))
             dec = eigendecompose(row_stochastic(S), 15)
             assert np.any(dec.pair_index >= 0)
             np.testing.assert_array_equal(dec.pair_index, reference_pairs(dec.eigenvalues))
 
     def test_biorthogonality(self):
-        S = kernel_matrix(random_cloud(70, seed=10), 1, np.full(70, 0.3))
+        S = kernel_matrix(sqdist(random_cloud(70, seed=10)), 1, np.full(70, 0.3))
         dec = eigendecompose(row_stochastic(S), 8)
         assert not dec.degenerate
         G = dec.dual_vectors.conj().T @ dec.right_vectors
@@ -230,7 +248,7 @@ class TestEigendecompose:
     def test_matches_dense_oracle_spectrum(self):
         # production path vs plain dense eigenvalue call, compared as
         # sorted moduli
-        S = kernel_matrix(random_cloud(150, seed=11), 1, np.full(150, 0.35))
+        S = kernel_matrix(sqdist(random_cloud(150, seed=11)), 1, np.full(150, 0.35))
         op = row_stochastic(S)
         dec = eigendecompose(op)
         oracle = np.sort(np.abs(np.linalg.eigvals(op.P)))[::-1]
@@ -278,7 +296,7 @@ class TestKrylovPath:
     @staticmethod
     def kernel_operator(seed):
         pts = random_cloud(301, 3, seed=seed)
-        return row_stochastic(kernel_matrix(pts, 1, knn_bandwidths(pts, 8)))
+        return row_stochastic(kernel_matrix(sqdist(pts), 1, knn_bandwidths(sqdist(pts), 8)))
 
     @staticmethod
     def assert_matches_dense(dec, op):
@@ -382,7 +400,7 @@ class TestKrylovPath:
     def test_row_stochastic_flushes_entries_below_eps(self):
         # distant clusters make many kernel entries tiny or subnormal
         pts = np.concatenate([random_cloud(40, 2, seed=3), random_cloud(40, 2, seed=4) + 3.0])
-        S = kernel_matrix(pts, 1, knn_bandwidths(pts, 5))
+        S = kernel_matrix(sqdist(pts), 1, knn_bandwidths(sqdist(pts), 5))
         eps = np.finfo(float).eps
         raw = S / S.sum(axis=1)[:, None]
         assert np.any((raw > 0) & (raw < eps))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from spectrend.embed import delay_embed
 from spectrend.models import ModelConfig, regime_mask, simulate
@@ -29,7 +30,7 @@ from spectrend.spectral import (
 @pytest.fixture(scope="module")
 def random_dec():
     pts = np.random.default_rng(12).random((70, 3))
-    S = kernel_matrix(pts, 1, np.full(70, 0.3))
+    S = kernel_matrix(cdist(pts, pts, "sqeuclidean"), 1, np.full(70, 0.3))
     return eigendecompose(row_stochastic(S), 9)
 
 
