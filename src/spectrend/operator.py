@@ -6,9 +6,12 @@ s-step-forward shift,
 
     S_ij = exp(-||h_i - h_{j+s}||^2 / (d_i d_{j+s})),   i, j = 1..N-s,
 
-and row normalization P_ij = S_ij / sum_j S_ij.  The first two steps read one
-N x N matrix of squared distances between all points, computed once; the
-kernel overwrites its (N-s) x (N-s) block in place.  P is row stochastic, so
+and row normalization P_ij = S_ij / sum_j S_ij.  All three steps work on one
+N x N matrix of squared distances between all points, computed once: the
+kernel is packed from its (N-s) x (N-s) block to the front of that matrix's
+buffer, and P is normalized in place over the kernel.  Each step runs in
+blocks of ``_ROW_BLOCK`` rows, so no temporary exceeds that many rows of N
+entries and the build holds one N x N array.  P is row stochastic, so
 1 is always an eigenvalue with constant eigenvector; the rest of the dominant
 spectrum carries trends (real eigenvalues) and oscillations (conjugate
 pairs).  Right eigenvectors come with dual (left) eigenvectors normalized to
@@ -49,6 +52,7 @@ _KRYLOV_RESTARTS = 50  # ARPACK restart budget before the dense fallback
 # (benthic, n = 2954), 0.080 vs 0.052 ms at 0.30 (40x40 field, n = 496, one
 # BLAS thread).  The cutoff sits well below that crossover.
 _CSR_DENSITY = 0.1
+_ROW_BLOCK = 256       # rows per block of the operator build
 
 
 class NumericalError(RuntimeError):
@@ -98,10 +102,15 @@ class SpectralDecomposition:
 
 
 def _as_sqdist(D2) -> np.ndarray:
-    D2 = np.asarray(D2, dtype=float)
+    D2 = np.ascontiguousarray(D2, dtype=float)
     if D2.ndim != 2 or D2.shape[0] != D2.shape[1]:
         raise ValueError(f"expected a square matrix of squared distances, got shape {D2.shape}")
     return D2
+
+
+def _row_blocks(n: int):
+    """Slices of at most ``_ROW_BLOCK`` consecutive rows covering range(n)."""
+    return (slice(i, min(i + _ROW_BLOCK, n)) for i in range(0, n, _ROW_BLOCK))
 
 
 def knn_bandwidths(D2, K: int) -> np.ndarray:
@@ -118,7 +127,10 @@ def knn_bandwidths(D2, K: int) -> np.ndarray:
         raise ValueError(f"K must be >= 1, got {K}")
     if K >= n:
         raise ValueError(f"K={K} needs at least K+1={K + 1} points, have {n}")
-    d = np.sqrt(np.partition(D2, K, axis=1)[:, K])
+    d = np.empty(n)
+    for rows in _row_blocks(n):
+        d[rows] = np.partition(D2[rows], K, axis=1)[:, K]
+    np.sqrt(d, out=d)
     if not np.all(np.isfinite(d)):
         raise NumericalError("squared distances overflow the float range; rescale the data")
     bad = np.flatnonzero(d <= 0.0)
@@ -132,9 +144,10 @@ def knn_bandwidths(D2, K: int) -> np.ndarray:
 def kernel_matrix(D2, s: int, bandwidths: np.ndarray) -> np.ndarray:
     """Gaussian cross-kernel between the cloud and its s-step shift.
 
-    ``D2`` holds the squared distances between all N points.  The kernel is
-    computed in place on its block ``D2[:N-s, s:]``, which is returned, so
-    ``D2`` is overwritten.
+    ``D2`` holds the squared distances between all N points.  The kernel of
+    its block ``D2[:N-s, s:]`` is packed, C-contiguous, to the front of
+    ``D2``'s own buffer and returned, so a C-contiguous float64 ``D2`` is
+    overwritten.
     """
     D2 = _as_sqdist(D2)
     n_all = len(D2)
@@ -146,16 +159,25 @@ def kernel_matrix(D2, s: int, bandwidths: np.ndarray) -> np.ndarray:
     if np.any(d <= 0):
         raise NumericalError("bandwidths must be strictly positive")
     n = n_all - s
-    S = D2[:n, s:]
-    S /= np.outer(d[:n], d[s:])
-    np.exp(-S, out=S)
+    S = D2.reshape(-1)[:n * n].reshape(n, n)
+    # Row i moves from offset i*N + s to i*n, leftwards and never onto a row
+    # not yet read, so each block is read whole before its rows are written.
+    for rows in _row_blocks(n):
+        block = np.outer(d[rows], d[s:])
+        np.divide(D2[rows, s:], block, out=block)
+        np.exp(np.negative(block, out=block), out=S[rows])
+        del block    # freed before the next one is allocated
     return S
 
 
 def row_stochastic(S: np.ndarray, s: int = 1, K: int = 0, dt: float = 1.0,
                    bandwidths=None, row_times=None) -> MarkovOperator:
-    """Normalize kernel rows to one, yielding the Markov matrix P."""
-    S = np.asarray(S, dtype=float)
+    """Normalize kernel rows to one, yielding the Markov matrix P.
+
+    A C-contiguous float64 ``S`` is normalized in place and becomes P; any
+    other input is copied first.  On a NumericalError ``S`` is left unchanged.
+    """
+    S = np.ascontiguousarray(S, dtype=float)
     sums = S.sum(axis=1)
     # a NaN or inf entry makes its row sum non-finite
     bad = np.flatnonzero(~np.isfinite(sums))
@@ -167,11 +189,13 @@ def row_stochastic(S: np.ndarray, s: int = 1, K: int = 0, dt: float = 1.0,
     if dead.size:
         raise NumericalError(
             f"kernel row {dead[0]} sums to zero (isolated point); cannot normalize")
-    P = S / sums[:, None]
-    # Entries below eps are negligible against each row's sum of 1, but the
-    # many subnormal ones make every matrix product several times slower.
-    P[P < np.finfo(float).eps] = 0.0
-    return MarkovOperator(P=P, s=s, K=K, dt=dt, bandwidths=bandwidths, row_times=row_times)
+    for rows in _row_blocks(len(S)):
+        block = S[rows]
+        block /= sums[rows, None]
+        # Entries below eps are negligible against each row's sum of 1, but
+        # the many subnormal ones make every matrix product several times slower.
+        block[block < np.finfo(float).eps] = 0.0
+    return MarkovOperator(P=S, s=s, K=K, dt=dt, bandwidths=bandwidths, row_times=row_times)
 
 
 def build_operator(emb, s: int, K: int) -> MarkovOperator:

@@ -50,22 +50,24 @@ class TestTentMap:
         # uniformly, 20-bin histogram flat to 3% relative deviation.  The
         # orbit is iterated in exact rational arithmetic: the branches have
         # slope exactly 2, so float64 orbits degenerate into binary-shift
-        # lattices whose statistics misrepresent the map.
+        # lattices whose statistics misrepresent the map.  The state x is
+        # a / D over a fixed denominator D that makes 1/4, 1/2, 3/4 and the
+        # shift 1/10 integers over D, so every branch keeps a an integer.
         n = 1_000_000
-        x = Fraction(37218411, 100000019)
-        delta = Fraction(1, 10)
-        quarter, half, three_quarter = (Fraction(1, 4), Fraction(1, 2),
-                                        Fraction(3, 4))
-        counts = np.zeros(20, dtype=int)
+        D = 100000019 * 20
+        a = 37218411 * 20                      # x = 37218411 / 100000019
+        delta = D // 10
+        quarter, half, three_quarter = D // 4, D // 2, 3 * D // 4
+        counts = [0] * 20
         for _ in range(n):
-            counts[min(19, int(20 * x))] += 1
-            if x < quarter:
-                x = 2 * x
-            elif x < three_quarter:
-                x = (delta + 2 * (x - quarter)) % 1
+            counts[(20 * a) // D] += 1
+            if a < quarter:
+                a = 2 * a
+            elif a < three_quarter:
+                a = (delta + 2 * (a - quarter)) % D
             else:
-                x = half + 2 * (x - three_quarter)
-        rel = np.abs(counts / (n / 20) - 1.0)
+                a = half + 2 * (a - three_quarter)
+        rel = np.abs(np.array(counts) / (n / 20) - 1.0)
         assert rel.max() < 0.03
 
     def test_step_matches_exact_arithmetic(self):

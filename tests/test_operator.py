@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,11 @@ from spectrend.spectral import eigenperiod, nearest_pair
 
 def random_cloud(n=50, dim=3, seed=0):
     return np.random.default_rng(seed).random((n, dim))
+
+
+def two_cluster_cloud():
+    # distant clusters make many kernel entries tiny or subnormal
+    return np.concatenate([random_cloud(40, 2, seed=3), random_cloud(40, 2, seed=4) + 3.0])
 
 
 def sqdist(pts):
@@ -398,8 +404,7 @@ class TestKrylovPath:
         self.assert_matches_dense(dec, op)
 
     def test_row_stochastic_flushes_entries_below_eps(self):
-        # distant clusters make many kernel entries tiny or subnormal
-        pts = np.concatenate([random_cloud(40, 2, seed=3), random_cloud(40, 2, seed=4) + 3.0])
+        pts = two_cluster_cloud()
         S = kernel_matrix(sqdist(pts), 1, knn_bandwidths(sqdist(pts), 5))
         eps = np.finfo(float).eps
         raw = S / S.sum(axis=1)[:, None]
@@ -409,6 +414,58 @@ class TestKrylovPath:
         kept = raw >= eps
         np.testing.assert_array_equal(P[kept], raw[kept])
         np.testing.assert_array_equal(P[~kept], 0.0)
+
+
+class TestRowBlockedBuild:
+    """The row-blocked, in-place build against whole-matrix formulas."""
+
+    @staticmethod
+    def reference(pts, s, K):
+        D2 = sqdist(pts)
+        n = len(pts) - s
+        d = np.sqrt(np.partition(D2, K, axis=1)[:, K])
+        S = np.exp(-D2[:n, s:] / np.outer(d[:n], d[s:]))
+        P = S / S.sum(axis=1)[:, None]
+        P[P < np.finfo(float).eps] = 0.0
+        return d, S, P
+
+    @pytest.mark.parametrize("s", [0, 1, 7])
+    @pytest.mark.parametrize("cloud", ["multi_block", "two_clusters"])
+    def test_matches_whole_matrix_formulas(self, cloud, s):
+        if cloud == "multi_block":
+            pts = random_cloud(600, 3, seed=21)
+            block = spectrend.operator._ROW_BLOCK
+            assert len(pts) - s > 2 * block and (len(pts) - s) % block
+        else:
+            pts = two_cluster_cloud()
+        d_ref, S_ref, P_ref = self.reference(pts, s, 5)
+        D2 = sqdist(pts)
+        d = knn_bandwidths(D2, 5)
+        np.testing.assert_array_equal(d, d_ref)
+        S = kernel_matrix(D2, s, d)
+        np.testing.assert_array_equal(S, S_ref)
+        op = row_stochastic(S, s=s)
+        assert op.P is S and op.P.flags.c_contiguous
+        np.testing.assert_array_equal(op.P, P_ref)
+        np.testing.assert_array_equal(build_operator(pts, s, 5).P, P_ref)
+
+    def test_build_holds_one_distance_matrix(self):
+        # NumPy reports its buffers to tracemalloc; the cdist output is the
+        # one N x N array, every other temporary is a block of rows
+        pts = random_cloud(1200, 3, seed=23)
+        tracemalloc.start()
+        try:
+            build_operator(pts, 1, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(pts) ** 2 * 8
+
+    def test_failed_normalization_leaves_kernel_unchanged(self):
+        S = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NumericalError):
+            row_stochastic(S)
+        np.testing.assert_array_equal(S, [[1.0, 1.0], [0.0, 0.0]])
 
 
 class TestCsrOperand:
