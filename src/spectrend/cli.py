@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 
@@ -28,13 +29,34 @@ from . import _table, data, embed, models, operator, spectral
 
 ENV_OUT = "SPECTREND_OUT"
 
-_DEFAULTS = {
-    "source": {"kind": "synthetic", "model": {"kind": "F"}},
-    "preprocess": {},
-    "embedding": {"Q": 3, "lag": 10},
-    "operator": {"step": 1, "knn": 25, "modes": 12},
-    "reconstruct": {"indices": [1]},
-    "output": {"dir": None},
+# kinds of config value as (description, test); type() is exact, so a bool
+# is not an int here
+_POSITIVE = ("a positive integer", lambda v: type(v) is int and v >= 1)
+_NONNEGATIVE = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
+_NUMBER = ("a finite number", lambda v: type(v) in (int, float) and abs(v) < math.inf)
+_STRING = ("a string", lambda v: type(v) is str)
+_ANOMALY = ('{"window": [start, stop], "cycle": n}',
+            lambda v: type(v) is dict and v.keys() == {"window", "cycle"}
+            and type(v["cycle"]) is int and type(v["window"]) is list
+            and list(map(type, v["window"])) == [int, int])
+
+# section -> key -> (kind,) or (kind, default).  A key without a default
+# reaches the resolved config only when the config file sets it.
+_SCHEMA = {
+    "source": {
+        "kind": (("synthetic|scalar|field", lambda v: v in ("synthetic", "scalar", "field")),
+                 "synthetic"),
+        "model": (("a JSON object", lambda v: type(v) is dict), {"kind": "F"}),
+        "path": (_STRING,),
+        "time_col": (_NONNEGATIVE,), "value_col": (_NONNEGATIVE,), "header_rows": (_NONNEGATIVE,),
+        "t_start": (_NUMBER,), "t_end": (_NUMBER,), "dt": (_NUMBER,), "sentinel": (_NUMBER,),
+        "reverse_time": (("true or false", lambda v: type(v) is bool),)},
+    "preprocess": {"anomaly": (_ANOMALY,)},
+    "embedding": {"Q": (_POSITIVE, 3), "lag": (_POSITIVE, 10)},
+    "operator": {"step": (_NONNEGATIVE, 1), "knn": (_POSITIVE, 25), "modes": (_POSITIVE, 12)},
+    "reconstruct": {"indices": (("a nonempty list of integers",
+                                 lambda v: type(v) is list and set(map(type, v)) == {int}), [1])},
+    "output": {"dir": (_STRING,)},
 }
 
 # command line flag -> config (section, key); "model" is the source's model
@@ -44,11 +66,6 @@ _FLAGS = {"model": ("model", "kind"), "steps": ("model", "n_steps"),
           "lag": ("embedding", "lag"), "step": ("operator", "step"),
           "knn": ("operator", "knn"), "modes": ("operator", "modes")}
 
-# keys a config section accepts besides those in its defaults
-_OPTIONAL = {"source": {"path", "time_col", "value_col", "header_rows", "t_start",
-                        "t_end", "dt", "reverse_time", "sentinel"},
-             "preprocess": {"anomaly"}}
-
 
 class StageError(Exception):
     def __init__(self, stage, exc, code):
@@ -56,7 +73,7 @@ class StageError(Exception):
         self.code = code
 
 
-def _run_stage(stage, fn, *args, **kwargs):
+def _run_stage(stage, fn, /, *args, **kwargs):
     """Run one pipeline stage, tagging failures with the stage name."""
     try:
         return fn(*args, **kwargs)
@@ -66,27 +83,17 @@ def _run_stage(stage, fn, *args, **kwargs):
         raise StageError(stage, exc, 3) from exc
 
 
-def _merge(base, override):
-    out = dict(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
-    return out
-
-
 def load_config(path) -> dict:
     with open(path) as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config root must be a JSON object")
     for name, section in cfg.items():
-        if name not in _DEFAULTS:
+        if name not in _SCHEMA:
             raise ValueError(f"{path}: unknown config section {name!r}")
         if not isinstance(section, dict):
             raise ValueError(f"{path}: config section {name!r} must be a JSON object")
-        unknown = set(section) - set(_DEFAULTS[name]) - _OPTIONAL.get(name, set())
+        unknown = section.keys() - _SCHEMA[name].keys()
         if unknown:
             raise ValueError(f"{path}: unknown keys {sorted(unknown)} in config section {name!r}")
     if not isinstance(cfg.get("source", {}).get("model", {}), dict):
@@ -103,9 +110,13 @@ def _parse_indices(text) -> list:
 
 
 def resolve_config(args) -> dict:
-    cfg = copy.deepcopy(_DEFAULTS)
+    cfg = {name: {key: copy.deepcopy(spec[1]) for key, spec in keys.items() if len(spec) > 1}
+           for name, keys in _SCHEMA.items()}
     if getattr(args, "config", None):
-        cfg = _merge(cfg, _run_stage("config", load_config, args.config))
+        for name, section in _run_stage("config", load_config, args.config).items():
+            if name == "source" and "model" in section:
+                section["model"] = {**cfg["source"]["model"], **section["model"]}
+            cfg[name].update(section)
     for flag, (section, key) in _FLAGS.items():
         val = getattr(args, flag, None)
         if val is None:
@@ -117,61 +128,47 @@ def resolve_config(args) -> dict:
             cfg[section][key] = val
     if getattr(args, "indices", None):
         cfg["reconstruct"]["indices"] = _run_stage("config", _parse_indices, args.indices)
-    cfg["output"]["dir"] = getattr(args, "out", None) or cfg["output"]["dir"] \
-        or os.environ.get(ENV_OUT) or "spectrend_out"
+    cfg["output"]["dir"] = getattr(args, "out", None) or cfg["output"].get(
+        "dir", os.environ.get(ENV_OUT) or "spectrend_out")
     return cfg
 
 
+def _check(name, key, val) -> None:
+    (kind, test), *_default = _SCHEMA[name][key]
+    if not test(val):
+        raise ValueError(f"{name}.{key} must be {kind}, got {val!r}")
+
+
 def _validate(cfg) -> None:
-    emb = cfg["embedding"]
-    op = cfg["operator"]
-    for name, val in (("Q", emb["Q"]), ("lag", emb["lag"]),
-                      ("knn", op["knn"]), ("modes", op["modes"])):
-        if type(val) is not int or val < 1:    # bool is not an int here
-            raise ValueError(f"{name} must be a positive integer, got {val!r}")
-    if type(op["step"]) is not int or op["step"] < 0:
-        raise ValueError(f"step must be a nonnegative integer, got {op['step']!r}")
-    indices = cfg["reconstruct"]["indices"]
-    if not isinstance(indices, list) or any(type(i) is not int for i in indices):
-        raise ValueError(f"reconstruct indices must be a list of integers, got {indices!r}")
+    for name, keys in _SCHEMA.items():
+        for key in keys:
+            # the anomaly is checked where it is applied, under its own stage
+            if key in cfg[name] and key != "anomaly":
+                _check(name, key, cfg[name][key])
     src = cfg["source"]
-    if src.get("kind") not in ("synthetic", "scalar", "field"):
-        raise ValueError(f"source kind must be synthetic|scalar|field, got {src.get('kind')!r}")
-    if src["kind"] in ("scalar", "field"):
-        path = src.get("path")
-        if not path or not os.path.exists(path):
-            raise ValueError(f"source path does not exist: {path!r}")
-
-
-def _model_config(cfg) -> models.ModelConfig:
-    return models.ModelConfig(**cfg["source"].get("model", {}))
+    if src["kind"] != "synthetic" and not os.path.exists(src.get("path", "")):
+        raise ValueError(f"source path does not exist: {src.get('path')!r}")
 
 
 def _load_source(cfg) -> data.TimeSeries:
-    src = cfg["source"]
+    src = cfg["source"]    # a reader option the config leaves out keeps its default
     if src["kind"] == "synthetic":
-        config = _run_stage("model-config", _model_config, cfg)
+        config = _run_stage("model-config", models.ModelConfig, **src["model"])
         return data.TimeSeries(samples=_run_stage("simulate", models.simulate, config).observations)
-    if src["kind"] == "scalar":
-        record = _run_stage("load", data.load_scalar_record, src["path"],
-                            time_col=src.get("time_col", 0),
-                            value_col=src.get("value_col", 1),
-                            header_rows=src.get("header_rows", 0))
-        t_start = src.get("t_start", record.times[0])
-        t_end = src.get("t_end", record.times[-1])
-        series = _run_stage("interpolate", data.interpolate_uniform,
-                            record, src.get("dt", 1.0), t_start, t_end)
-        return data.reverse_time(series) if src.get("reverse_time", False) else series
-    series, _mask = _run_stage("load", data.load_field_stack, src["path"],
-                               sentinel=src.get("sentinel"))
-    return series
+    if src["kind"] == "field":
+        series, _mask = _run_stage("load", data.load_field_stack, src["path"],
+                                   **{k: src[k] for k in ("sentinel",) if k in src})
+        return series
+    record = _run_stage("load", data.load_scalar_record, src["path"], **{
+        k: src[k] for k in ("time_col", "value_col", "header_rows") if k in src})
+    series = _run_stage("interpolate", data.interpolate_uniform, record, src.get("dt", 1.0),
+                        src.get("t_start", record.times[0]), src.get("t_end", record.times[-1]))
+    return data.reverse_time(series) if src.get("reverse_time") else series
 
 
 def _anomalies(series, anom) -> data.TimeSeries:
-    if not isinstance(anom, dict) or not {"window", "cycle"} <= anom.keys():
-        raise ValueError('preprocess anomaly must be {"window": [start, stop], '
-                         f'"cycle": n}}, got {anom!r}')
-    return data.anomalies(series, tuple(anom["window"]), int(anom["cycle"]))
+    _check("preprocess", "anomaly", anom)
+    return data.anomalies(series, tuple(anom["window"]), anom["cycle"])
 
 
 def _write_run_config(cfg) -> None:
@@ -189,9 +186,8 @@ def _analyze(args):
     _run_stage("validate", _validate, cfg)
     _run_stage("output", _write_run_config, cfg)
     series = _load_source(cfg)
-    anom = cfg["preprocess"].get("anomaly")
-    if anom:
-        series = _run_stage("anomalies", _anomalies, series, anom)
+    if "anomaly" in cfg["preprocess"]:
+        series = _run_stage("anomalies", _anomalies, series, cfg["preprocess"]["anomaly"])
     emb = _run_stage("embed", embed.delay_embed, series,
                      cfg["embedding"]["Q"], cfg["embedding"]["lag"])
     opr = _run_stage("operator", operator.build_operator, emb,
@@ -206,7 +202,7 @@ def cmd_synth(args) -> int:
     cfg = resolve_config(args)
     if cfg["source"]["kind"] != "synthetic":
         raise StageError("synth", ValueError("synth requires a synthetic source"), 2)
-    config = _run_stage("model-config", _model_config, cfg)
+    config = _run_stage("model-config", models.ModelConfig, **cfg["source"]["model"])
     traj = _run_stage("simulate", models.simulate, config)
     out_dir = cfg["output"]["dir"]
     _run_stage("output", os.makedirs, out_dir, exist_ok=True)
@@ -225,10 +221,9 @@ def cmd_analyze(args) -> int:
                os.path.join(out_dir, "eigenvalues.txt"))
     _run_stage("output", spectral.write_mode_table, reports,
                os.path.join(out_dir, "periods.txt"))
-    times = dec.row_times if dec.row_times is not None else np.arange(opr.n, dtype=float)
     _run_stage("output", _table.write_table, os.path.join(out_dir, "modes.txt"),
                ["time " + " ".join(f"mode_{r.index}" for r in reports)],
-               [times] + [r.time_series for r in reports])
+               [dec.row_times] + [r.time_series for r in reports])
     print(f"analyzed {len(series)} samples -> {opr.n} operator rows; "
           f"tables in {out_dir}")
     return 0
@@ -252,7 +247,8 @@ def cmd_reconstruct(args) -> int:
 def cmd_periods(args) -> int:
     _cfg, _series, _opr, dec, h = _analyze(args)
     reports = _run_stage("classify", spectral.classify_modes, dec, h[:, 0])
-    spectral._write_modes(reports, sys.stdout, ["%d", "%.6f", "%.6f", "%.6f", "%.6e", "%s"])
+    _run_stage("output", spectral.write_mode_table, reports, sys.stdout,
+               ["%d", "%.6f", "%.6f", "%.6f", "%.6e", "%s"])
     return 0
 
 

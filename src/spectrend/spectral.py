@@ -115,9 +115,7 @@ def project(dec: SpectralDecomposition, indices, target) -> Projection:
     real and returned as such.
     """
     idx = sorted({int(i) for i in indices})
-    for i in idx:
-        if not 1 <= i <= dec.n_modes:
-            raise ValueError(f"mode index {i} out of range 1..{dec.n_modes}")
+    realness = conjugate_closure(dec, idx) == tuple(idx)
     n = dec.right_vectors.shape[0]
     h = _target_array(target, n, "target")
     flat = h[:, None] if h.ndim == 1 else h
@@ -125,12 +123,11 @@ def project(dec: SpectralDecomposition, indices, target) -> Projection:
     V = dec.right_vectors[:, zero]
     W = dec.dual_vectors[:, zero]
     out = V @ (W.conj().T @ flat)
-    closed = all(dec.pair_index[j] < 0 or (dec.pair_index[j] + 1 in idx) for j in zero)
-    if closed:
+    if realness:
         out = out.real
     if h.ndim == 1:
         out = out[:, 0]
-    return Projection(indices=tuple(idx), series=out, realness=bool(closed),
+    return Projection(indices=tuple(idx), series=out, realness=realness,
                       row_times=dec.row_times)
 
 
@@ -190,16 +187,16 @@ def nearest_pair(dec: SpectralDecomposition, period: float):
     return None if best is None else best + 1
 
 
-def _write_modes(reports: Sequence, dest, fmt=None) -> None:
+def write_mode_table(reports: Sequence, dest, fmt=None) -> None:
+    """Mode table: j, Re, Im, period (inf for real modes), amplitude, kind.
+
+    ``dest`` is a path or an open text file; ``fmt`` overrides the default
+    column formats as in ``write_table``.
+    """
     write_table(dest, ["j re_lambda im_lambda period amplitude kind"],
                 [[r.index for r in reports], [r.eigenvalue for r in reports],
                  [math.inf if r.period is None else r.period for r in reports],
                  [r.amplitude for r in reports], [r.kind for r in reports]], fmt)
-
-
-def write_mode_table(reports: Sequence, path) -> None:
-    """Mode table: j, Re, Im, period (inf for real modes), amplitude, kind."""
-    _write_modes(reports, path)
 
 
 def write_projection(proj: Projection, path) -> None:

@@ -1,10 +1,14 @@
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from spectrend.cli import main
 from spectrend.data import benthic_fixture_path
+
+BENTHIC = str(benthic_fixture_path())
 
 
 def read_table(path, **kw):
@@ -148,6 +152,12 @@ class TestAnalyze:
         ({"operator": {"knn": True}}, "[validate]"),
         ({"embedding": {"Q": True}}, "[validate]"),
         ({"reconstruct": {"indices": [True]}}, "[validate]"),
+        ({"reconstruct": {"indices": []}}, "[validate]"),
+        ({"source": {"kind": "scalar", "path": BENTHIC, "reverse_time": "false"}}, "[validate]"),
+        ({"source": {"kind": "scalar", "path": BENTHIC, "time_col": True}}, "[validate]"),
+        ({"source": {"kind": "scalar", "path": BENTHIC, "header_rows": -1}}, "[validate]"),
+        ({"source": {"kind": "scalar", "path": BENTHIC, "dt": "1"}}, "[validate]"),
+        ({"source": {"kind": "scalar", "path": BENTHIC, "dt": float("nan")}}, "[validate]"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, tag):
         cfg_path = tmp_path / "run.json"
@@ -156,7 +166,11 @@ class TestAnalyze:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error {tag}")
 
-    @pytest.mark.parametrize("anomaly", [{"cycle": 12}, {"window": [0, 120]}, 12])
+    @pytest.mark.parametrize("anomaly", [
+        {"cycle": 12}, {"window": [0, 120]}, 12,
+        {"window": [0, 120], "cycle": 12.7}, {"window": [0, 120.5], "cycle": 12},
+        {"window": [0, 120], "cycle": True}, {"window": [0, 120], "cycle": 12, "phase": 3},
+    ])
     def test_incomplete_anomaly_config_exits_2(self, tmp_path, capsys, anomaly):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"preprocess": {"anomaly": anomaly}}))
@@ -165,6 +179,24 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error [anomalies]") and "window" in err
+
+    def test_anomaly_preprocess(self, tmp_path):
+        anomaly = {"window": [0, 120], "cycle": 12}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"preprocess": {"anomaly": anomaly}}))
+        out = tmp_path / "o"
+        assert main(["analyze", "--steps", "300", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        resolved = json.loads((out / "run_config.json").read_text())
+        assert resolved["preprocess"] == {"anomaly": anomaly}
+        assert (out / "modes.txt").exists()
+
+    def test_non_string_output_dir_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPECTREND_OUT", str(tmp_path / "o"))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"output": {"dir": False}}))
+        assert main(["analyze", "--steps", "300", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error [validate] output.dir")
 
     def test_bool_step_count_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -188,7 +220,7 @@ class TestAnalyze:
         assert "does not exist" in capsys.readouterr().err
 
     def test_benthic_fixture_pipeline(self, tmp_path):
-        cfg = {"source": {"kind": "scalar", "path": str(benthic_fixture_path()),
+        cfg = {"source": {"kind": "scalar", "path": BENTHIC,
                           "dt": 1.0, "t_start": 0.0, "t_end": 3000.0,
                           "reverse_time": True},
                "embedding": {"Q": 5, "lag": 10},
@@ -224,6 +256,36 @@ class TestReconstruct:
         assert code == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_empty_mode_set_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["reconstruct", "--steps", "300", "--indices", ",", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [validate]") and "nonempty" in err
+        assert not (out / "reconstruction.txt").exists()
+
+    def test_field_stack_reconstruction(self, tmp_path):
+        n_t, ny, nx = 120, 6, 6
+        t = np.arange(n_t)[:, None, None]
+        yy, xx = np.mgrid[0:ny, 0:nx]
+        field = np.sin(2.0 * np.pi * t / 12.0 + 0.4 * (yy + xx)) + 0.02 * t * (yy < 2)
+        field[:, 4, 1] = -999.0
+        stack = tmp_path / "stack.txt"
+        with open(stack, "w") as f:
+            f.write(f"{ny} {nx} 1e30\n")     # the config's sentinel overrides this one
+            np.savetxt(f, field.reshape(-1, nx))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"kind": "field", "path": str(stack),
+                                                   "sentinel": -999.0},
+                                        "embedding": {"Q": 2, "lag": 3},
+                                        "operator": {"knn": 8, "modes": 6}}))
+        out = tmp_path / "o"
+        assert main(["reconstruct", "--config", str(cfg_path), "--indices", "2",
+                     "--out", str(out)]) == 0
+        header = (out / "reconstruction.txt").read_text().splitlines()[0]
+        assert header.startswith("# modes 2") and header.endswith("real=yes")
+        table = read_table(out / "reconstruction.txt")
+        assert table.shape == (n_t - 3 - 1, 1 + ny * nx - 1)    # time + kept cells
+
     def test_non_integer_index_exits_2(self, tmp_path, capsys):
         code = main(["reconstruct", "--model", "F", "--steps", "300",
                      "--indices", "2,x", "--out", str(tmp_path / "o")])
@@ -242,6 +304,16 @@ class TestPeriods:
         assert first[0] == "1" and first[3] == "inf" and first[5] == "constant"
         kinds = {line.split()[5] for line in lines[1:]}
         assert "oscillatory" in kinds
+
+    def test_closed_stdout_exits_2(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["periods", "--model", "F", "--steps", "300",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error [output]")
 
     def test_writes_config_sidecar(self, tmp_path):
         out = tmp_path / "o"
