@@ -77,7 +77,7 @@ def _run_stage(stage, fn, /, *args, **kwargs):
     """Run one pipeline stage, tagging failures with the stage name."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError, MemoryError) as exc:
         raise StageError(stage, exc, 2) from exc
     except (operator.NumericalError, ArithmeticError) as exc:
         raise StageError(stage, exc, 3) from exc
@@ -150,11 +150,15 @@ def _validate(cfg) -> None:
         raise ValueError(f"source path does not exist: {src.get('path')!r}")
 
 
+def _simulate(cfg) -> models.Trajectory:
+    config = _run_stage("model-config", models.ModelConfig, **cfg["source"]["model"])
+    return _run_stage("simulate", models.simulate, config)
+
+
 def _load_source(cfg) -> data.TimeSeries:
     src = cfg["source"]    # a reader option the config leaves out keeps its default
     if src["kind"] == "synthetic":
-        config = _run_stage("model-config", models.ModelConfig, **src["model"])
-        return data.TimeSeries(samples=_run_stage("simulate", models.simulate, config).observations)
+        return data.TimeSeries(samples=_simulate(cfg).observations)
     if src["kind"] == "field":
         series, _mask = _run_stage("load", data.load_field_stack, src["path"],
                                    **{k: src[k] for k in ("sentinel",) if k in src})
@@ -202,8 +206,8 @@ def cmd_synth(args) -> int:
     cfg = resolve_config(args)
     if cfg["source"]["kind"] != "synthetic":
         raise StageError("synth", ValueError("synth requires a synthetic source"), 2)
-    config = _run_stage("model-config", models.ModelConfig, **cfg["source"]["model"])
-    traj = _run_stage("simulate", models.simulate, config)
+    _run_stage("validate", _validate, cfg)
+    traj = _simulate(cfg)
     out_dir = cfg["output"]["dir"]
     _run_stage("output", os.makedirs, out_dir, exist_ok=True)
     series_path = os.path.join(out_dir, "series.txt")

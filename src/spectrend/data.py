@@ -219,11 +219,10 @@ def anomalies(series: TimeSeries, window: tuple, cycle: int) -> TimeSeries:
     samples = series.samples
     phases = np.arange(n) % cycle
     out = np.array(samples, dtype=float, copy=True)
+    # hi - lo >= cycle, so the window holds every phase
+    ref, ref_phases = samples[lo:hi], phases[lo:hi]
     for p in range(cycle):
-        in_window = np.flatnonzero((phases == p) & (np.arange(n) >= lo) & (np.arange(n) < hi))
-        if in_window.size == 0:
-            raise ValueError(f"window contains no samples of phase {p}")
-        out[phases == p] -= samples[in_window].mean(axis=0)
+        out[phases == p] -= ref[ref_phases == p].mean(axis=0)
     return TimeSeries(samples=out, dt=series.dt, t0=series.t0,
                       time_unit=series.time_unit, value_unit=series.value_unit)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -140,6 +141,9 @@ class ModelConfig:
         if type(steps) is not int or steps <= 0:    # rejects bool
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", steps)
+        for name in ("alpha", "alpha1", "alpha2", "a", "delta", "c", "theta0", "theta2_0"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.kind in ("F", "Fprime"):
             if not 0.0 < self.delta < 1.0:
                 raise ValueError(f"delta must lie in (0,1), got {self.delta!r}")
@@ -189,6 +193,13 @@ def _resolve_x0(config: ModelConfig) -> float:
     return float(np.random.default_rng(config.seed).random())
 
 
+def _running_sum(start, inc, n: int) -> np.ndarray:
+    """start, start + inc, (start + inc) + inc, ...: n sums, added left to right."""
+    terms = np.full(n, inc, dtype=float)
+    terms[0] = start
+    return np.add.accumulate(terms)
+
+
 def simulate(config: ModelConfig) -> Trajectory:
     """Run one model and return its trajectory.
 
@@ -197,57 +208,40 @@ def simulate(config: ModelConfig) -> Trajectory:
     runs bitwise reproducible regardless of accumulation order tricks.
     """
     n = config.n_steps
-    x0 = _resolve_x0(config)
-    if config.kind in ("M", "A"):
+    switching = config.kind in ("F", "Fprime")
+    if not switching:
         d0, d1, d2 = config.drift_coefficients()
-        x = np.empty(n)
+    # the driver coordinate: the interval map for F/Fprime, a drift for M/A
+    x = np.empty(n)
+    xv = _resolve_x0(config)
+    for t in range(n):
+        x[t] = xv
+        xv = tent_map_step(xv, config.delta) if switching else xv + d0 + d1 * t + d2 * t * t
+    if config.kind == "F":
+        # math.tanh, not switching_weight: np.tanh can differ in the last bit
         theta = np.empty(n)
-        xv, tv = x0, config.theta0
-        for t in range(n):
-            x[t] = xv
-            theta[t] = tv
-            xv = xv + d0 + d1 * t + d2 * t * t
-            tv = tv + config.alpha
-        if config.kind == "M":
-            h = x + np.cos(theta)
-        else:
-            h = (config.a + x) * np.cos(theta)
-        states = np.column_stack([x, theta])
-    elif config.kind == "F":
-        x = np.empty(n)
-        theta = np.empty(n)
-        xv, tv = x0, config.theta0
-        for t in range(n):
-            x[t] = xv
+        tv = config.theta0
+        for t, xv in enumerate(x.tolist()):
             theta[t] = tv
             w = 0.5 * (1.0 + math.tanh(config.c * (xv - 0.5)))
             tv = tv + w * config.alpha1 + (1.0 - w) * config.alpha2
-            xv = tent_map_step(xv, config.delta)
         h = np.cos(theta)
-        states = np.column_stack([x, theta])
-    else:  # Fprime
+        states = [x, theta]
+    elif config.kind == "Fprime":
         # Both phases advance every step; the observation blends them.
         # Phases are tracked in cycles so that the observation map is
         # literally cos(2 pi theta); alpha1/alpha2 keep radians-per-step
         # semantics via the 1/(2 pi) conversion.
-        x = np.empty(n)
-        th1 = np.empty(n)
-        th2 = np.empty(n)
-        xv = x0
-        t1, t2 = config.theta0, config.theta2_0
-        inc1 = config.alpha1 / TWO_PI
-        inc2 = config.alpha2 / TWO_PI
-        for t in range(n):
-            x[t] = xv
-            th1[t] = t1
-            th2[t] = t2
-            t1 += inc1
-            t2 += inc2
-            xv = tent_map_step(xv, config.delta)
+        th1 = _running_sum(config.theta0, config.alpha1 / TWO_PI, n)
+        th2 = _running_sum(config.theta2_0, config.alpha2 / TWO_PI, n)
         w = switching_weight(x, config.c)
         h = w * np.cos(TWO_PI * th1) + (1.0 - w) * np.cos(TWO_PI * th2)
-        states = np.column_stack([x, th1, th2])
-    return Trajectory(states=states, observations=h, config=config)
+        states = [x, th1, th2]
+    else:
+        theta = _running_sum(config.theta0, config.alpha, n)
+        h = x + np.cos(theta) if config.kind == "M" else (config.a + x) * np.cos(theta)
+        states = [x, theta]
+    return Trajectory(states=np.column_stack(states), observations=h, config=config)
 
 
 def regime_mask(trajectory: Trajectory) -> np.ndarray:

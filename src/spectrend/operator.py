@@ -20,15 +20,14 @@ a biorthogonal system, which is what makes spectral projections work.
 Only the leading modes are computed: ARPACK's implicitly restarted Arnoldi
 method (``scipy.sparse.linalg.eigs``) runs on P for the right vectors and on
 P^T for the left ones, so the cost grows with the requested mode count
-rather than as N^3.  ARPACK reads P only through matrix-vector products, so
-when at most ``_CSR_DENSITY`` (10%) of P's entries are nonzero, it and the
-residual products run on a CSR copy of P.  The full dense LAPACK ``eig`` of
-P is the fallback in four cases: the request is too large for ARPACK
-(modes + 2 >= N - 1); ARPACK fails or does not converge within
-``_KRYLOV_RESTARTS`` restarts; an eigenvalue outside the computed set may tie
-in modulus with the last retained mode, so ARPACK's choice among tied values
-could differ from the ordering convention; or the left and right eigenvalues
-of the retained set do not match.
+rather than as N^3.  ``eigendecompose`` decides once whether ARPACK can
+take the request (modes + 2 below N - 1); if so, ARPACK and the residual
+products read a CSR copy of P when at most ``_CSR_DENSITY`` (10%) of P is
+nonzero.  The dense LAPACK ``eig`` of P, called from one line, answers all
+other requests and each ARPACK answer that ``_leading_eigs`` rejects: ARPACK
+failed or did not converge within ``_KRYLOV_RESTARTS`` restarts, an
+eigenvalue outside the computed set may tie in modulus with the last
+retained mode, or the left and right retained eigenvalues differ.
 """
 
 from __future__ import annotations
@@ -200,7 +199,12 @@ def row_stochastic(S: np.ndarray, s: int = 1, K: int = 0, dt: float = 1.0,
 
 def build_operator(emb, s: int, K: int) -> MarkovOperator:
     """Convenience: bandwidths + kernel + normalization from embedded data."""
-    pts = getattr(emb, "points", emb)    # cdist rejects anything but 2-d points
+    pts = np.asarray(getattr(emb, "points", emb))    # cdist rejects anything but 2-d points
+    # P is invariant under scaling by a power of two, which is exact; rescale
+    # only a cloud whose squared distances could overflow or underflow
+    e = np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1]
+    if abs(e) > 400:
+        pts = np.ldexp(pts, -e)
     D2 = cdist(pts, pts, "sqeuclidean")
     d = knn_bandwidths(D2, K)
     S = kernel_matrix(D2, s, d)
@@ -238,21 +242,16 @@ def _dense_eigs(P: np.ndarray):
     return w[order], vl[:, order], vr[:, order]
 
 
-def _leading_eigs(P: np.ndarray, m: int, A=None):
-    """Leading eigenvalues of P in mode order, with left and right vectors.
+def _leading_eigs(A, m: int):
+    """Leading eigenpairs of A, which is P or a CSR copy of it, in mode order.
 
-    Returns at least ``_retained(w, m)`` modes.  The left vector of mode j is
-    an eigenvector of P^T at conj(w_j), as ``scipy.linalg.eig`` returns it.
-    ARPACK reads ``A``, which is P (the default) or a sparse copy of it; the
-    dense fallback reads P.
+    ARPACK needs k = m + 2 below n - 1.  Returns (w, vl, vr) with at least
+    ``_retained(w, m)`` modes, vl[:, j] an eigenvector of A^T at conj(w_j) as
+    ``scipy.linalg.eig`` returns it; or None when the answer cannot be used.
     """
-    A = P if A is None else A
-    n = P.shape[0]
-    k = m + 2
-    if k >= n - 1:
-        return _dense_eigs(P)
     import scipy.sparse.linalg as sla    # deferred: keeps the CLI import cheap
 
+    n, k = A.shape[0], m + 2
     # A fixed random start keeps runs reproducible; ones would not do, being
     # the lambda = 1 eigenvector.  ncv = 4k needs far fewer restarts than
     # ARPACK's default 2k + 1 on the clustered spectra near 1.
@@ -262,7 +261,7 @@ def _leading_eigs(P: np.ndarray, m: int, A=None):
         w, vr = sla.eigs(A, **opts)
         mu, vl = sla.eigs(A.T, **opts)
     except sla.ArpackError:
-        return _dense_eigs(P)
+        return None
     order = _order_keys(w)
     w, vr = w[order], vr[:, order]
     order = _order_keys(np.conj(mu))
@@ -273,7 +272,7 @@ def _leading_eigs(P: np.ndarray, m: int, A=None):
     # retained set is the leading one only if that bound sorts strictly after it
     if rounded[-1] >= rounded[r - 1] or np.any(
             np.abs(np.conj(mu[:r]) - w[:r]) > _PAIR_TOL):
-        return _dense_eigs(P)
+        return None
     return w, vl, vr
 
 
@@ -297,11 +296,14 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
         m = n
     if not 1 <= m <= n:
         raise ValueError(f"mode count m must lie in [1, {n}], got {m}")
-    # products with P cost less on a CSR copy when P is mostly zero
-    A = P
-    if m + 2 < n - 1 and np.count_nonzero(P) / P.size <= _CSR_DENSITY:
-        A = scipy.sparse.csr_array(P)
-    w, vl, vr = _leading_eigs(P, m, A)
+    # ARPACK needs k = m + 2 below n - 1; LAPACK answers everything else
+    A, found = P, None
+    if m + 2 < n - 1:
+        # products with P cost less on a CSR copy when P is mostly zero
+        if np.count_nonzero(P) / P.size <= _CSR_DENSITY:
+            A = scipy.sparse.csr_array(P)
+        found = _leading_eigs(A, m)
+    w, vl, vr = _dense_eigs(P) if found is None else found
     # do not split a conjugate pair at the retention boundary
     m = _retained(w, m)
     w, vl, vr = w[:m], vl[:, :m], vr[:, :m]

@@ -47,6 +47,16 @@ class TestSynth:
               "--seed", str(meta["model"]["seed"]), "--out", str(out2)])
         assert (out / "series.txt").read_bytes() == (out2 / "series.txt").read_bytes()
 
+    def test_sections_it_does_not_use_are_validated(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"embedding": {"Q": True},
+                                        "reconstruct": {"indices": "x"}}))
+        code = main(["synth", "--steps", "100", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error [validate]")
+        assert not (tmp_path / "o").exists()
+
     def test_env_var_default_output(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("SPECTREND_OUT", str(target))
@@ -77,7 +87,6 @@ def test_unwritable_table_exits_2(tmp_path, capsys, command, table):
 @pytest.mark.parametrize("scale, bad, Q, code, tag", [
     (1.0, np.nan, 30, 2, "[embed]"),     # a NaN in a 30-dimensional cloud
     (1.0, np.nan, 3, 2, "[embed]"),      # a NaN in a 3-dimensional cloud
-    (1e200, 0.0, 3, 3, "[operator]"),    # squared distances overflow
 ])
 def test_non_finite_input_is_stage_tagged(tmp_path, capfd, recwarn, scale, bad, Q, code, tag):
     t = np.arange(400.0)
@@ -95,6 +104,25 @@ def test_non_finite_input_is_stage_tagged(tmp_path, capfd, recwarn, scale, bad, 
     assert ("non-finite sample" if code == 2 else "overflow") in captured.err
     assert "DLASCL" not in captured.out and "illegal value" not in captured.out
     # outside pytest a RuntimeWarning would print to stderr ahead of the error
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_extreme_scale_matches_unit_scale(tmp_path, recwarn, scale):
+    # unscaled, the squared distances of these records overflow or underflow
+    eigs = []
+    for factor in (1.0, scale):
+        t = np.arange(400.0)
+        record = tmp_path / f"record_{factor}.txt"
+        np.savetxt(record, np.column_stack([t, factor * np.sin(2.0 * np.pi * t / 23.0)]))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"kind": "scalar", "path": str(record)},
+                                        "embedding": {"Q": 3, "lag": 2},
+                                        "operator": {"knn": 8, "modes": 6}}))
+        out = tmp_path / f"o_{factor}"
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 0
+        eigs.append(read_table(out / "eigenvalues.txt", usecols=(1, 2)))
+    np.testing.assert_allclose(eigs[1], eigs[0], rtol=0, atol=1e-12)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -158,6 +186,9 @@ class TestAnalyze:
         ({"source": {"kind": "scalar", "path": BENTHIC, "header_rows": -1}}, "[validate]"),
         ({"source": {"kind": "scalar", "path": BENTHIC, "dt": "1"}}, "[validate]"),
         ({"source": {"kind": "scalar", "path": BENTHIC, "dt": float("nan")}}, "[validate]"),
+        # a grid of 3e15 points fails to allocate at once, before any memory
+        # is touched; a step whose grid fits in virtual memory is not tested
+        ({"source": {"kind": "scalar", "path": BENTHIC, "dt": 1e-12}}, "[interpolate]"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, tag):
         cfg_path = tmp_path / "run.json"

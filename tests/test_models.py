@@ -160,6 +160,11 @@ class TestModelConfig:
         assert ModelConfig(kind="M").n_steps == 1000
         assert ModelConfig(kind="F").n_steps == 2000
 
+    def test_rejects_non_numeric_rate(self):
+        # None would become NaN in the phase sums instead of failing
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            ModelConfig(kind="M", alpha=None)
+
     def test_custom_drift_triple(self):
         cfg = ModelConfig(kind="M", drift=(0.1, 0.0, 0.0))
         assert cfg.drift_coefficients() == (0.1, 0.0, 0.0)
@@ -255,6 +260,20 @@ class TestSimulate:
         mask = regime_mask(traj)
         assert np.array_equal(mask, traj.x > 0.5)
         assert mask.any() and (~mask).any()
+
+    @pytest.mark.parametrize("kind", ["M", "A", "Fprime"])
+    def test_phases_equal_stepwise_sums(self, kind):
+        cfg = ModelConfig(kind=kind, n_steps=3000, seed=2, theta0=0.3, theta2_0=-1.7)
+        starts_incs = ([(cfg.theta0, cfg.alpha)] if kind != "Fprime" else
+                       [(cfg.theta0, cfg.alpha1 / (2.0 * math.pi)),
+                        (cfg.theta2_0, cfg.alpha2 / (2.0 * math.pi))])
+        states = simulate(cfg).states
+        for col, (phase, inc) in enumerate(starts_incs, start=1):
+            expected = []
+            for _ in range(cfg.n_steps):
+                expected.append(phase)
+                phase = phase + inc
+            np.testing.assert_array_equal(states[:, col], expected)
 
     def test_regime_mask_rejects_drift_kinds(self):
         traj = simulate(ModelConfig(kind="M", n_steps=50))
