@@ -297,9 +297,6 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)
         return exc.code
-    except operator.NumericalError as exc:
-        print(f"error [numeric] {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -27,7 +27,10 @@ nonzero.  The dense LAPACK ``eig`` of P, called from one line, answers all
 other requests and each ARPACK answer that ``_leading_eigs`` rejects: ARPACK
 failed or did not converge within ``_KRYLOV_RESTARTS`` restarts, an
 eigenvalue outside the computed set may tie in modulus with the last
-retained mode, or the left and right retained eigenvalues differ.
+retained mode, or the left and right retained eigenvalues differ.  Both
+solvers' answers pass through one mode-order helper, which puts each conjugate
+partner, rebuilt by conjugation, right after its upper half-plane member;
+``pair_index`` records that pairing and is the one pairing rule downstream.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from scipy.spatial.distance import cdist
 
 from ._table import write_table
 
-_PAIR_TOL = 1e-10      # |Im| below this is real; relative gap below this is conjugate
+_PAIR_TOL = 1e-10      # |Im| at most this is real; also the left/right eigenvalue agreement
 _MOD_DECIMALS = 9      # modulus quantization for ordering ties
 _KRYLOV_RESTARTS = 50  # ARPACK restart budget before the dense fallback
 # Largest nonzero fraction of P at which ARPACK reads a CSR copy of it.  On a
@@ -213,23 +216,26 @@ def build_operator(emb, s: int, K: int) -> MarkovOperator:
     return row_stochastic(S, s=s, K=K, dt=dt, bandwidths=d, row_times=times)
 
 
-def _order_keys(w: np.ndarray):
-    # Sort by descending modulus; break ties by descending real part, then
-    # positive-imaginary partner first.  The modulus is quantized so that a
-    # few ulps of solver noise cannot swap genuinely tied magnitudes (e.g.
-    # +1 and -1 on a cyclic permutation).
-    return np.lexsort((-w.imag, -w.real, -np.round(np.abs(w), _MOD_DECIMALS)))
+def _in_mode_order(w: np.ndarray, *vecs):
+    """w and the columns of each of ``vecs`` in mode order.
 
-
-def _pair_starts(a, b):
-    """Whether b is the conjugate partner of a, with a in the upper half plane."""
-    return (np.imag(a) > _PAIR_TOL) & (
-        np.abs(b - np.conj(a)) <= _PAIR_TOL * np.maximum(1.0, np.abs(a)))
+    Real w and the upper half plane (Im > ``_PAIR_TOL``) sort by descending
+    modulus, quantized so that solver noise cannot swap tied magnitudes (+1
+    and -1 on a cycle), then real part.  Each upper member is followed by its
+    conjugate, rebuilt exactly: LAPACK and ARPACK pairs are exact for real P.
+    """
+    keep = np.flatnonzero(w.imag >= -_PAIR_TOL)
+    keep = keep[np.lexsort((-w[keep].real, -np.round(np.abs(w[keep]), _MOD_DECIMALS)))]
+    take = np.repeat(keep, 1 + (w[keep].imag > _PAIR_TOL))
+    ordered = tuple(x[..., take] for x in (w, *vecs))
+    for x in ordered:    # conjugate in place the second copy of each upper index
+        np.conjugate(x, out=x, where=np.diff(take, prepend=-1) == 0)
+    return ordered
 
 
 def _retained(w: np.ndarray, m: int) -> int:
     """Mode count m, widened by one where position m would split a conjugate pair."""
-    return m + 1 if m < len(w) and _pair_starts(w[m - 1], w[m]) else m
+    return m + 1 if w[m - 1].imag > _PAIR_TOL else m
 
 
 def _dense_eigs(P: np.ndarray):
@@ -238,8 +244,7 @@ def _dense_eigs(P: np.ndarray):
         w, vl, vr = scipy.linalg.eig(P, left=True, right=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    order = _order_keys(w)
-    return w[order], vl[:, order], vr[:, order]
+    return _in_mode_order(w, vl, vr)
 
 
 def _leading_eigs(A, m: int):
@@ -262,16 +267,15 @@ def _leading_eigs(A, m: int):
         mu, vl = sla.eigs(A.T, **opts)
     except sla.ArpackError:
         return None
-    order = _order_keys(w)
-    w, vr = w[order], vr[:, order]
-    order = _order_keys(np.conj(mu))
-    mu, vl = mu[order], vl[:, order]
-    r = _retained(w, m)
-    rounded = np.round(np.abs(w), _MOD_DECIMALS)
     # an eigenvalue ARPACK did not return has modulus <= min |w|, so the
-    # retained set is the leading one only if that bound sorts strictly after it
-    if rounded[-1] >= rounded[r - 1] or np.any(
-            np.abs(np.conj(mu[:r]) - w[:r]) > _PAIR_TOL):
+    # retained set is the leading one only if that bound sorts strictly after
+    # it; read it before the mode order drops a lone member of a split pair
+    bound = np.round(np.abs(w), _MOD_DECIMALS).min()
+    w, vr = _in_mode_order(w, vr)
+    conj_mu, vl = _in_mode_order(np.conj(mu), vl)
+    r = _retained(w, m)
+    if bound >= np.round(np.abs(w), _MOD_DECIMALS)[r - 1] or np.any(
+            np.abs(conj_mu[:r] - w[:r]) > _PAIR_TOL):
         return None
     return w, vl, vr
 
@@ -309,9 +313,9 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     w, vl, vr = w[:m], vl[:, :m], vr[:, :m]
 
     pair = np.full(m, -1, dtype=int)
-    starts = np.flatnonzero(_pair_starts(w[:-1], w[1:]))
-    pair[starts], pair[starts + 1] = starts + 1, starts
-    real = np.abs(w.imag) <= _PAIR_TOL
+    upper = np.flatnonzero(w.imag > _PAIR_TOL)
+    pair[upper], pair[upper + 1] = upper + 1, upper
+    real = pair < 0
     w[real] = w[real].real
     vr = vr / np.linalg.norm(vr, axis=0)
     peak = vr[np.argmax(np.abs(vr), axis=0), np.arange(m)]

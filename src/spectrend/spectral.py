@@ -46,10 +46,9 @@ def eigenperiod(lam: complex, s: int, dt: float = 1.0) -> float:
     above the Nyquist rate of the s-step map alias into |arg| <= pi and are
     reported as such.
     """
-    arg = abs(np.angle(lam))
-    if arg <= _PAIR_TOL:
+    if abs(np.imag(lam)) <= _PAIR_TOL:
         raise ValueError(f"eigenvalue {lam!r} is real; period undefined (infinite)")
-    return 2.0 * math.pi * s * dt / arg
+    return 2.0 * math.pi * s * dt / abs(np.angle(lam))
 
 
 def _target_array(target, n: int, what: str) -> np.ndarray:
@@ -66,7 +65,7 @@ def classify_modes(dec: SpectralDecomposition, observations) -> list:
     Y_j is the coefficient of the observation series in the biorthogonal
     expansion, computed against the raw (newest-sample aligned) series.
     Conjugate pairs are reported once, through their positive-frequency
-    member.
+    member, which ``pair_index`` places first.
     """
     h = _target_array(observations, dec.right_vectors.shape[0], "observations")
     if h.ndim != 1:
@@ -76,7 +75,7 @@ def classify_modes(dec: SpectralDecomposition, observations) -> list:
     for j in range(dec.n_modes):
         lam = dec.eigenvalues[j]
         partner = dec.pair_index[j]
-        if partner >= 0 and lam.imag < 0:
+        if 0 <= partner < j:
             continue          # the positive member already reported this pair
         if j == 0:
             kind = "constant"
@@ -84,9 +83,7 @@ def classify_modes(dec: SpectralDecomposition, observations) -> list:
             kind = "trend"
         else:
             kind = "oscillatory"
-        period = None
-        if kind == "oscillatory":
-            period = eigenperiod(lam, dec.s, dec.dt)
+        period = eigenperiod(lam, dec.s, dec.dt) if kind == "oscillatory" else None
         reports.append(ModeReport(
             index=j + 1, eigenvalue=complex(lam), kind=kind, period=period,
             amplitude=float(abs(Y[j])), time_series=dec.right_vectors[:, j].real))
@@ -172,7 +169,7 @@ def regime_localization(mode_series, mask) -> float:
 def trend_mode(dec: SpectralDecomposition):
     """First nontrivial real mode: returns (1-based index, Re v)."""
     for j in range(1, dec.n_modes):
-        if dec.pair_index[j] < 0 and abs(dec.eigenvalues[j].imag) <= _PAIR_TOL:
+        if dec.pair_index[j] < 0:
             return j + 1, dec.right_vectors[:, j].real
     raise ValueError("no nontrivial real eigenvalue among the retained modes")
 
@@ -180,8 +177,7 @@ def trend_mode(dec: SpectralDecomposition):
 def nearest_pair(dec: SpectralDecomposition, period: float):
     """1-based index of the positive-frequency pair member whose period is
     closest to ``period``; None when the decomposition has no pairs."""
-    upper = [j for j in range(dec.n_modes)
-             if dec.pair_index[j] >= 0 and dec.eigenvalues[j].imag > 0]
+    upper = [j for j in range(dec.n_modes) if dec.pair_index[j] > j]
     best = min(upper, default=None,
                key=lambda j: abs(eigenperiod(dec.eigenvalues[j], dec.s, dec.dt) - period))
     return None if best is None else best + 1

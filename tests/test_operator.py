@@ -206,6 +206,16 @@ class TestEigendecompose:
         assert dec.n_modes == 3  # extended to keep the conjugate partner
         assert dec.pair_index[1] == 2
 
+    def test_repeated_conjugate_pair_is_paired(self):
+        # two disjoint 5-cycles: every complex eigenvalue appears twice
+        P = np.kron(np.eye(2), np.roll(np.eye(5), 1, axis=1))
+        dec = eigendecompose(MarkovOperator(P=P, s=1, K=1))
+        np.testing.assert_array_equal(dec.pair_index, [-1, -1, 3, 2, 5, 4, 7, 6, 9, 8])
+        upper = dec.eigenvalues[2::2]
+        np.testing.assert_array_equal(dec.eigenvalues[3::2], upper.conj())
+        np.testing.assert_allclose(upper, np.exp(2j * np.pi * np.array([1, 1, 2, 2]) / 5.0),
+                                   rtol=0, atol=1e-12)
+
     def test_mode_count_validation(self):
         op = MarkovOperator(P=np.eye(3), s=1, K=1)
         with pytest.raises(ValueError):
@@ -361,6 +371,28 @@ class TestKrylovPath:
         np.testing.assert_allclose(dec.residuals, residuals, rtol=0, atol=1e-14)
         np.testing.assert_allclose(dec.dual_residuals, dual_residuals, rtol=0, atol=1e-14)
         assert dec.degenerate == tuple(degenerate)
+
+    @pytest.mark.parametrize("m", [7, 9])
+    def test_pair_split_at_arpack_edge(self, dense_calls, monkeypatch, m):
+        # the (m+2)-th eigenvalue is the first member of a conjugate pair, so
+        # each raw ARPACK answer holds one member of that pair without the other
+        import scipy.sparse.linalg as sla
+
+        eigs, raw = sla.eigs, []
+
+        def eigs_spy(A, **kwargs):
+            w, vectors = eigs(A, **kwargs)
+            raw.append(w)
+            return w, vectors
+
+        monkeypatch.setattr(sla, "eigs", eigs_spy)
+        op = self.kernel_operator(0)
+        dec = eigendecompose(op, m)
+        for w in raw:
+            nonreal = w[abs(w.imag) > 1e-10]
+            assert np.sum(~np.isin(nonreal.conj(), nonreal)) == 1
+        assert dense_calls == []
+        self.assert_matches_dense(dec, op)
 
     def test_modulus_tie_across_cut_falls_back(self, dense_calls):
         # 40 eigenvalues of modulus 1: ARPACK does not converge on the cycle

@@ -47,6 +47,13 @@ def switching_pipeline():
     return traj, dec, h_rows, in_fast
 
 
+@pytest.fixture(scope="module")
+def two_cycles_dec():
+    # two disjoint 5-cycles: every complex eigenvalue appears twice
+    P = np.kron(np.eye(2), np.roll(np.eye(5), 1, axis=1))
+    return eigendecompose(MarkovOperator(P=P, s=1, K=1))
+
+
 class TestEigenperiod:
     def test_slow_pair_published_value(self):
         assert eigenperiod(0.7639 + 0.3651j, s=7, dt=1.0) == pytest.approx(98.64, abs=0.05)
@@ -67,6 +74,8 @@ class TestEigenperiod:
     def test_real_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="infinite"):
             eigenperiod(0.97, s=1)
+        with pytest.raises(ValueError, match="infinite"):
+            eigenperiod(-0.9, s=1)
 
 
 class TestClassifyModes:
@@ -185,6 +194,24 @@ class TestProject:
             project(random_dec, [0], np.ones(n))
         with pytest.raises(ValueError, match="length"):
             project(random_dec, [1], np.ones(n - 1))
+
+
+class TestRepeatedPairs:
+    """A repeated complex eigenvalue is paired with its own conjugate."""
+
+    def test_every_complex_mode_oscillatory(self, two_cycles_dec):
+        reports = classify_modes(two_cycles_dec, np.arange(10.0))
+        assert [r.kind for r in reports] == ["constant", "trend"] + ["oscillatory"] * 4
+        assert [r.index for r in reports[2:]] == [3, 5, 7, 9]
+        assert [r.period for r in reports[2:]] == pytest.approx([5.0, 5.0, 2.5, 2.5])
+
+    def test_closure_adds_partner(self, two_cycles_dec):
+        assert conjugate_closure(two_cycles_dec, [3]) == (3, 4)
+
+    def test_single_member_projection_is_complex(self, two_cycles_dec):
+        proj = project(two_cycles_dec, [3], np.arange(10.0))
+        assert proj.realness is False
+        assert np.iscomplexobj(proj.series) and np.any(proj.series.imag != 0)
 
 
 class TestAffineScale:
