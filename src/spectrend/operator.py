@@ -23,14 +23,22 @@ P^T for the left ones, so the cost grows with the requested mode count
 rather than as N^3.  ``eigendecompose`` decides once whether ARPACK can
 take the request (modes + 2 below N - 1); if so, ARPACK and the residual
 products read a CSR copy of P when at most ``_CSR_DENSITY`` (10%) of P is
-nonzero.  The dense LAPACK ``eig`` of P, called from one line, answers all
-other requests and each ARPACK answer that ``_leading_eigs`` rejects: ARPACK
-failed or did not converge within ``_KRYLOV_RESTARTS`` restarts, an
-eigenvalue outside the computed set may tie in modulus with the last
-retained mode, or the left and right retained eigenvalues differ.  Both
-solvers' answers pass through one mode-order helper, which puts each conjugate
-partner, rebuilt by conjugation, right after its upper half-plane member;
-``pair_index`` records that pairing and is the one pairing rule downstream.
+nonzero, and otherwise a ``LinearOperator`` whose products call
+``scipy.linalg.blas`` on P itself.  ARPACK asks its caller for every product
+with P, so the caller picks the BLAS that computes it.  The NumPy and SciPy
+wheels each bundle their own OpenBLAS; ARPACK and LAPACK link SciPy's, while
+NumPy's ``@`` runs in NumPy's.  Dense products through SciPy's BLAS keep the
+whole eigensolve in one OpenBLAS and its one thread pool, where two pools
+would compete for the same cores.  The dense LAPACK ``eig`` of P, called
+from one line, answers all other requests and each ARPACK answer that
+``_leading_eigs`` rejects: ARPACK failed or did not converge within
+``_KRYLOV_RESTARTS`` restarts, an eigenvalue outside the computed set may
+tie in modulus with the last retained mode, or the left and right retained
+eigenvalues differ.  Both solvers' answers pass through one mode-order
+helper, which puts each conjugate partner, rebuilt by conjugation, right
+after its upper half-plane member; ``pair_index`` records that pairing and
+is the one pairing rule downstream.  A numerically real pair (|Im| at most
+``_PAIR_TOL``) is left unpaired and given the real basis (Re v, Im v).
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.blas import dgemm, dgemv
 from scipy.spatial.distance import cdist
 
 from ._table import write_table
@@ -49,9 +58,9 @@ _PAIR_TOL = 1e-10      # |Im| at most this is real; also the left/right eigenval
 _MOD_DECIMALS = 9      # modulus quantization for ordering ties
 _KRYLOV_RESTARTS = 50  # ARPACK restart budget before the dense fallback
 # Largest nonzero fraction of P at which ARPACK reads a CSR copy of it.  On a
-# 2-core Xeon a CSR matvec beats the dense one below about 0.2 nonzero:
-# 0.50 vs 1.9 ms at 0.059 (model F, n = 2979), 4.1 vs 1.7 ms at 0.455
-# (benthic, n = 2954), 0.080 vs 0.052 ms at 0.30 (40x40 field, n = 496, one
+# 2-core Xeon a CSR matvec beats the dense one (SciPy's dgemv) below about 0.2
+# nonzero: 0.56 vs 2.0 ms at 0.060 (model F, n = 2979), 4.0 vs 1.8 ms at 0.455
+# (benthic, n = 2954), 0.053 vs 0.048 ms at 0.30 (40x40 field, n = 496, one
 # BLAS thread).  The cutoff sits well below that crossover.
 _CSR_DENSITY = 0.1
 _ROW_BLOCK = 256       # rows per block of the operator build
@@ -80,11 +89,16 @@ class SpectralDecomposition:
     """Leading eigenpairs of a Markov operator, ordered by modulus.
 
     ``pair_index[j]`` holds the position of the conjugate partner of mode j,
-    or -1 for (numerically) real eigenvalues.  ``dual_vectors`` are
-    eigenvectors of the transposed matrix at the conjugate eigenvalue,
-    rescaled so dual_j^dagger v_j = 1.  ``degenerate`` lists mode indices
-    where that rescaling was impossible (clustered or defective eigenvalues);
-    biorthogonality is not guaranteed there.
+    or -1 for (numerically) real eigenvalues, whose vectors are real.
+    ``dual_vectors`` are eigenvectors of the transposed matrix at the
+    conjugate eigenvalue, rescaled so dual_j^dagger v_j = 1.  ``degenerate``
+    lists the modes where that rescaling was refused because the condition
+    number kappa_j = |dual_j| |v_j| / |dual_j^dagger v_j| exceeded 1e12
+    (clustered or defective eigenvalues).  That is all the flag guarantees:
+    outside it kappa_j <= 1e12 and dual_j^dagger v_j = 1.  Biorthogonality
+    across modes, dual_i^dagger v_j = 0 for i != j, holds only as far as
+    the eigenvalues are apart; near-tied eigenvalues can break it with no mode
+    flagged, and a projection onto several of them is then not idempotent.
     """
 
     eigenvalues: np.ndarray       # (m,) complex
@@ -219,14 +233,15 @@ def build_operator(emb, s: int, K: int) -> MarkovOperator:
 def _in_mode_order(w: np.ndarray, *vecs):
     """w and the columns of each of ``vecs`` in mode order.
 
-    Real w and the upper half plane (Im > ``_PAIR_TOL``) sort by descending
-    modulus, quantized so that solver noise cannot swap tied magnitudes (+1
-    and -1 on a cycle), then real part.  Each upper member is followed by its
-    conjugate, rebuilt exactly: LAPACK and ARPACK pairs are exact for real P.
+    Real w and the upper half plane sort by descending modulus, quantized so
+    that solver noise cannot swap tied magnitudes (+1 and -1 on a cycle), then
+    real part.  Each upper member is followed by its conjugate, rebuilt
+    exactly: LAPACK and ARPACK pairs are exact for real P.  That holds for a
+    numerically real pair (0 < Im <= ``_PAIR_TOL``) too.
     """
-    keep = np.flatnonzero(w.imag >= -_PAIR_TOL)
+    keep = np.flatnonzero(w.imag >= 0.0)
     keep = keep[np.lexsort((-w[keep].real, -np.round(np.abs(w[keep]), _MOD_DECIMALS)))]
-    take = np.repeat(keep, 1 + (w[keep].imag > _PAIR_TOL))
+    take = np.repeat(keep, 1 + (w[keep].imag > 0.0))
     ordered = tuple(x[..., take] for x in (w, *vecs))
     for x in ordered:    # conjugate in place the second copy of each upper index
         np.conjugate(x, out=x, where=np.diff(take, prepend=-1) == 0)
@@ -235,7 +250,7 @@ def _in_mode_order(w: np.ndarray, *vecs):
 
 def _retained(w: np.ndarray, m: int) -> int:
     """Mode count m, widened by one where position m would split a conjugate pair."""
-    return m + 1 if w[m - 1].imag > _PAIR_TOL else m
+    return m + 1 if w[m - 1].imag > 0.0 else m
 
 
 def _dense_eigs(P: np.ndarray):
@@ -248,7 +263,7 @@ def _dense_eigs(P: np.ndarray):
 
 
 def _leading_eigs(A, m: int):
-    """Leading eigenpairs of A, which is P or a CSR copy of it, in mode order.
+    """Leading eigenpairs of A, a CSR copy or ``_blas_operator`` of P, in mode order.
 
     ARPACK needs k = m + 2 below n - 1.  Returns (w, vl, vr) with at least
     ``_retained(w, m)`` modes, vl[:, j] an eigenvector of A^T at conj(w_j) as
@@ -281,8 +296,23 @@ def _leading_eigs(A, m: int):
 
 
 def _matmul(A, V: np.ndarray) -> np.ndarray:
-    """A @ V for real (dense or sparse) A and complex V, without a complex copy of A."""
+    """A @ V for a real array or operator A and complex V, without a complex copy of A."""
     return A @ V.real + 1j * (A @ V.imag)
+
+
+def _blas_operator(P: np.ndarray):
+    """Dense P as a LinearOperator whose products run in ``scipy.linalg.blas``.
+
+    The products read ``P.T``, a Fortran-ordered view of C-ordered float P,
+    so such a P is not copied; any other P is copied once.
+    """
+    import scipy.sparse.linalg as sla    # deferred: keeps the CLI import cheap
+
+    PT = np.asfortranarray(P.T, dtype=float)
+    return sla.LinearOperator(
+        P.shape, dtype=PT.dtype,
+        matvec=lambda x: dgemv(1.0, PT, x, trans=1), rmatvec=lambda x: dgemv(1.0, PT, x),
+        matmat=lambda X: dgemm(1.0, PT, X, trans_a=1), rmatmat=lambda X: dgemm(1.0, PT, X))
 
 
 def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecomposition:
@@ -292,7 +322,9 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     adjacent (positive imaginary part first).  If position m would split a
     conjugate pair, the partner is kept as well.  Each right eigenvector is
     normalized to unit length with its largest-modulus entry made real
-    positive; duals are rescaled for dual^dagger v = 1.
+    positive; duals are rescaled for dual^dagger v = 1.  A numerically real
+    pair (0 < |Im| <= ``_PAIR_TOL``) becomes two real modes at Re lambda with
+    the real basis (Re v, Im v) and duals biorthogonal to it.
     """
     P = op.P
     n = P.shape[0]
@@ -303,9 +335,12 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     # ARPACK needs k = m + 2 below n - 1; LAPACK answers everything else
     A, found = P, None
     if m + 2 < n - 1:
-        # products with P cost less on a CSR copy when P is mostly zero
+        # products with P cost less on a CSR copy when P is mostly zero;
+        # dense ones run in SciPy's BLAS, which ARPACK itself links
         if np.count_nonzero(P) / P.size <= _CSR_DENSITY:
             A = scipy.sparse.csr_array(P)
+        else:
+            A = _blas_operator(P)
         found = _leading_eigs(A, m)
     w, vl, vr = _dense_eigs(P) if found is None else found
     # do not split a conjugate pair at the retention boundary
@@ -315,11 +350,21 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     pair = np.full(m, -1, dtype=int)
     upper = np.flatnonzero(w.imag > _PAIR_TOL)
     pair[upper], pair[upper + 1] = upper + 1, upper
+    near = np.flatnonzero((w.imag > 0.0) & (pair < 0))    # upper members of numerically real pairs
+    for x in (vl, vr):
+        x[:, near + 1] = x[:, near].imag
+        x[:, near] = x[:, near].real
     real = pair < 0
     w[real] = w[real].real
     vr = vr / np.linalg.norm(vr, axis=0)
     peak = vr[np.argmax(np.abs(vr), axis=0), np.arange(m)]
     vr = vr / (peak / np.abs(peak))
+    for j in near:
+        # with G = W^H V on the pair, W adj(G)^H gives W^H V = det(G) I, which
+        # the rescaling below turns into I, or flags as degenerate if det(G) ~ 0
+        G = vl[:, j:j + 2].conj().T @ vr[:, j:j + 2]
+        vl[:, j:j + 2] = vl[:, j:j + 2] @ np.array([[G[1, 1], -G[0, 1]],
+                                                    [-G[1, 0], G[0, 0]]]).conj().T
     residuals = np.linalg.norm(_matmul(A, vr) - vr * w, axis=0)
     unorm = np.linalg.norm(vl, axis=0)
     dual_residuals = np.linalg.norm(_matmul(A.T, vl) - vl * np.conj(w), axis=0) / unorm

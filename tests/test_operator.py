@@ -21,7 +21,7 @@ from spectrend.operator import (
     row_stochastic,
     write_eigenvalue_table,
 )
-from spectrend.spectral import eigenperiod, nearest_pair
+from spectrend.spectral import eigenperiod, nearest_pair, project
 
 
 def random_cloud(n=50, dim=3, seed=0):
@@ -215,6 +215,22 @@ class TestEigendecompose:
         np.testing.assert_array_equal(dec.eigenvalues[3::2], upper.conj())
         np.testing.assert_allclose(upper, np.exp(2j * np.pi * np.array([1, 1, 2, 2]) / 5.0),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [None, 6])
+    def test_numerically_real_pair_gets_real_basis(self, m):
+        # LAPACK returns part of this operator's 15-fold eigenvalue 0 as
+        # conjugate pairs with 0 < |Im| < 1e-16
+        op = build_operator(np.repeat([0, 1 / 1024, -1 / 1024], 6)[:, None], 0, 6)
+        dec = eigendecompose(op, m)
+        real = np.flatnonzero(dec.pair_index < 0)
+        np.testing.assert_array_equal(dec.right_vectors[:, real].imag, 0.0)
+        np.testing.assert_array_equal(dec.dual_vectors[:, real].imag, 0.0)
+        h = np.random.default_rng(0).standard_normal(op.n)
+        for j in real + 1:
+            once = project(dec, [j], h)
+            assert once.realness
+            twice = project(dec, [j], once.series).series
+            assert np.linalg.norm(twice - once.series) <= 1e-12 * np.linalg.norm(once.series)
 
     def test_mode_count_validation(self):
         op = MarkovOperator(P=np.eye(3), s=1, K=1)
@@ -541,13 +557,41 @@ class TestCsrOperand:
         assert isinstance(op.P, np.ndarray)
         TestKrylovPath.assert_matches_dense(dec, op)
 
-    def test_dense_operator_runs_on_ndarray(self, operands):
+    def test_dense_operator_runs_in_scipy_blas(self, operands, monkeypatch):
+        from scipy.sparse.linalg import LinearOperator
+
         op = TestKrylovPath.kernel_operator(0)
-        assert np.count_nonzero(op.P) / op.P.size > spectrend.operator._CSR_DENSITY
-        eigendecompose(op, 10)
+        P = op.P
+        assert np.count_nonzero(P) / P.size > spectrend.operator._CSR_DENSITY
+        dec = eigendecompose(op, 10)
         assert len(operands["eigs"]) == 2
-        assert all(type(A) is np.ndarray for A in operands["eigs"])
         assert operands["dense"] == []
+        A, AT = operands["eigs"]
+        assert all(isinstance(B, LinearOperator) for B in (A, AT))
+
+        blas = []
+        for name in ("dgemv", "dgemm"):
+            def spy(*args, _f=getattr(spectrend.operator, name), _name=name, **kwargs):
+                blas.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(spectrend.operator, name, spy)
+        rng = np.random.default_rng(1)
+        x, X = rng.standard_normal(op.n), rng.standard_normal((op.n, 6))
+        # SciPy's dgemv gives NumPy's @ bit for bit; dgemm may round
+        # differently when the NumPy and SciPy wheels bundle different OpenBLAS
+        # builds, so it is held to the bound that covers either rounding
+        for B, PB in ((A, P), (AT, P.T)):
+            del blas[:]
+            np.testing.assert_array_equal(B @ x, PB @ x)
+            BX = B @ X
+            assert blas == ["dgemv", "dgemm"]
+            assert np.all(abs(BX - PB @ X) <= 2 * op.n * np.finfo(float).eps * (abs(PB) @ abs(X)))
+
+        monkeypatch.setattr(spectrend.operator, "_blas_operator", lambda P: P)
+        ref = eigendecompose(op, 10)
+        assert all(type(B) is np.ndarray for B in operands["eigs"][2:])
+        for name in ("eigenvalues", "right_vectors", "dual_vectors", "pair_index"):
+            np.testing.assert_array_equal(getattr(dec, name), getattr(ref, name))
 
     def test_fallback_reads_dense_matrix(self, operands):
         # 2.5% nonzero, so ARPACK tries the CSR copy first and gives up
