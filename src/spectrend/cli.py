@@ -59,12 +59,25 @@ _SCHEMA = {
     "output": {"dir": (_STRING,)},
 }
 
-# command line flag -> config (section, key); "model" is the source's model
-_FLAGS = {"model": ("model", "kind"), "steps": ("model", "n_steps"),
-          "seed": ("model", "seed"), "drift": ("model", "drift"),
-          "delta": ("model", "delta"), "Q": ("embedding", "Q"),
-          "lag": ("embedding", "lag"), "step": ("operator", "step"),
-          "knn": ("operator", "knn"), "modes": ("operator", "modes")}
+# command line flag -> (config section, key, type, help); section "model" is
+# the source's model, and --config, with no section, names the config file
+_FLAGS = {
+    "config": (None, None, str, "JSON run configuration"),
+    "model": ("model", "kind", str, "synthetic model kind (M, A, F, Fprime)"),
+    "steps": ("model", "n_steps", int, "synthetic run length"),
+    "seed": ("model", "seed", int, "synthetic seed"),
+    "out": ("output", "dir", str, f"output directory (default ${ENV_OUT} or ./spectrend_out)"),
+    "drift": ("model", "drift", str, "drift preset for kinds M/A (linear|quadratic)"),
+    "delta": ("model", "delta", float, "switching parameter for kinds F/Fprime"),
+    "Q": ("embedding", "Q", int, "number of delays"),
+    "lag": ("embedding", "lag", int, "delay lag (sampling intervals)"),
+    "step": ("operator", "step", int, "operator forward step"),
+    "knn": ("operator", "knn", int, "neighbor count for bandwidths"),
+    "modes": ("operator", "modes", int, "retained eigenpair count"),
+    "indices": ("reconstruct", "indices", str, "comma-separated 1-based mode indices"),
+}
+_COMMON = ("config", "model", "steps", "seed", "out")
+_PIPELINE = _COMMON + ("Q", "lag", "step", "knn", "modes")
 
 
 class StageError(Exception):
@@ -117,19 +130,18 @@ def resolve_config(args) -> dict:
             if name == "source" and "model" in section:
                 section["model"] = {**cfg["source"]["model"], **section["model"]}
             cfg[name].update(section)
-    for flag, (section, key) in _FLAGS.items():
+    for flag, (section, key, _type, _help) in _FLAGS.items():
         val = getattr(args, flag, None)
-        if val is None:
+        if section is None or val is None:
             continue
+        if flag == "indices":
+            val = _run_stage("config", _parse_indices, val)
         if section == "model":
             cfg["source"]["kind"] = "synthetic"
             cfg["source"]["model"][key] = val
         else:
             cfg[section][key] = val
-    if getattr(args, "indices", None):
-        cfg["reconstruct"]["indices"] = _run_stage("config", _parse_indices, args.indices)
-    cfg["output"]["dir"] = getattr(args, "out", None) or cfg["output"].get(
-        "dir", os.environ.get(ENV_OUT) or "spectrend_out")
+    cfg["output"].setdefault("dir", os.environ.get(ENV_OUT) or "spectrend_out")
     return cfg
 
 
@@ -256,12 +268,14 @@ def cmd_periods(args) -> int:
     return 0
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON run configuration")
-    sp.add_argument("--model", help="synthetic model kind (M, A, F, Fprime)")
-    sp.add_argument("--steps", type=int, help="synthetic run length")
-    sp.add_argument("--seed", type=int, help="synthetic seed")
-    sp.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./spectrend_out)")
+# subcommand -> (handler, help, flags)
+_COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic trajectory", _COMMON + ("drift", "delta")),
+    "analyze": (cmd_analyze, "run the embedding/operator/spectral pipeline", _PIPELINE),
+    "reconstruct": (cmd_reconstruct, "project the observations onto chosen modes",
+                    _PIPELINE + ("indices",)),
+    "periods": (cmd_periods, "print the mode/period table", _PIPELINE),
+}
 
 
 def main(argv=None) -> int:
@@ -269,26 +283,10 @@ def main(argv=None) -> int:
         prog="spectrend",
         description="trend/cycle extraction via delay embedding and transfer-operator spectra")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic trajectory")
-    _add_common(p_synth)
-    p_synth.add_argument("--drift", help="drift preset for kinds M/A (linear|quadratic)")
-    p_synth.add_argument("--delta", type=float, help="switching parameter for kinds F/Fprime")
-    p_synth.set_defaults(fn=cmd_synth)
-
-    for name, fn, description in (
-            ("analyze", cmd_analyze, "run the embedding/operator/spectral pipeline"),
-            ("reconstruct", cmd_reconstruct, "project the observations onto chosen modes"),
-            ("periods", cmd_periods, "print the mode/period table")):
+    for name, (fn, description, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=description)
-        _add_common(p)
-        p.add_argument("--Q", type=int, help="number of delays")
-        p.add_argument("--lag", type=int, help="delay lag (sampling intervals)")
-        p.add_argument("--step", type=int, help="operator forward step")
-        p.add_argument("--knn", type=int, help="neighbor count for bandwidths")
-        p.add_argument("--modes", type=int, help="retained eigenpair count")
-        if name == "reconstruct":
-            p.add_argument("--indices", help="comma-separated 1-based mode indices")
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=_FLAGS[flag][2], help=_FLAGS[flag][3])
         p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)

@@ -119,6 +119,9 @@ def interpolate_uniform(record: NonuniformRecord, dt: float,
             f"requested [{t_start}, {t_end}] exceeds record support "
             f"[{record.times[0]}, {record.times[-1]}]; extrapolation not supported")
     n_span = (t_end - t_start) / dt
+    if not n_span + 1 <= 1000 * len(record.times):    # checked before allocating it
+        raise ValueError(f"a grid of {n_span + 1:.4g} points at dt={dt!r} exceeds 1000 per "
+                         f"record sample ({len(record.times)} samples); use a larger dt")
     count = int(round(n_span))
     if not np.isclose(n_span, count, rtol=0.0, atol=1e-9):
         count = int(np.floor(n_span))

@@ -20,25 +20,25 @@ a biorthogonal system, which is what makes spectral projections work.
 Only the leading modes are computed: ARPACK's implicitly restarted Arnoldi
 method (``scipy.sparse.linalg.eigs``) runs on P for the right vectors and on
 P^T for the left ones, so the cost grows with the requested mode count
-rather than as N^3.  ``eigendecompose`` decides once whether ARPACK can
-take the request (modes + 2 below N - 1); if so, ARPACK and the residual
-products read a CSR copy of P when at most ``_CSR_DENSITY`` (10%) of P is
-nonzero, and otherwise a ``LinearOperator`` whose products call
+rather than as N^3.  ``eigendecompose`` picks one operand for ARPACK and for
+every residual product: a CSR copy of P when at most ``_CSR_DENSITY`` (10%)
+of P is nonzero, else a ``LinearOperator`` whose products call
 ``scipy.linalg.blas`` on P itself.  ARPACK asks its caller for every product
-with P, so the caller picks the BLAS that computes it.  The NumPy and SciPy
-wheels each bundle their own OpenBLAS; ARPACK and LAPACK link SciPy's, while
-NumPy's ``@`` runs in NumPy's.  Dense products through SciPy's BLAS keep the
-whole eigensolve in one OpenBLAS and its one thread pool, where two pools
-would compete for the same cores.  The dense LAPACK ``eig`` of P, called
-from one line, answers all other requests and each ARPACK answer that
-``_leading_eigs`` rejects: ARPACK failed or did not converge within
-``_KRYLOV_RESTARTS`` restarts, an eigenvalue outside the computed set may
-tie in modulus with the last retained mode, or the left and right retained
-eigenvalues differ.  Both solvers' answers pass through one mode-order
-helper, which puts each conjugate partner, rebuilt by conjugation, right
-after its upper half-plane member; ``pair_index`` records that pairing and
-is the one pairing rule downstream.  A numerically real pair (|Im| at most
-``_PAIR_TOL``) is left unpaired and given the real basis (Re v, Im v).
+with P, so the caller picks the BLAS.  The NumPy and SciPy wheels each bundle
+an OpenBLAS; ARPACK and LAPACK link SciPy's and NumPy's ``@`` runs in
+NumPy's, so dense products through SciPy's keep the eigensolve in one
+OpenBLAS thread pool, not two competing for the same cores.
+``_leading_eigs`` alone judges whether ARPACK can answer.  It returns None
+for a request ARPACK cannot take (modes + 2 not below N - 1), when ARPACK
+failed or did not converge within ``_KRYLOV_RESTARTS`` restarts, when an
+eigenvalue outside the computed set may tie in modulus with the last
+retained mode, or when the left and right retained eigenvalues differ; the
+dense LAPACK ``eig`` of P, called from one line, answers each None.  Both
+solvers' answers pass through one mode-order helper, which puts each
+conjugate partner, rebuilt by conjugation, right after its upper half-plane
+member; ``pair_index`` records that pairing and is the one pairing rule
+downstream.  A numerically real pair (|Im| at most ``_PAIR_TOL``) is left
+unpaired and given the real basis (Re v, Im v).
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ from scipy.spatial.distance import cdist
 
 from ._table import write_table
 
-_PAIR_TOL = 1e-10      # |Im| at most this is real; also the left/right eigenvalue agreement
+_PAIR_TOL = 1e-10      # an eigenvalue with |Im| at most this is real
+_LR_TOL = 1e-10        # largest |left - right| eigenvalue gap of a usable ARPACK answer
 _MOD_DECIMALS = 9      # modulus quantization for ordering ties
 _KRYLOV_RESTARTS = 50  # ARPACK restart budget before the dense fallback
 # Largest nonzero fraction of P at which ARPACK reads a CSR copy of it.  On a
@@ -74,7 +75,6 @@ class NumericalError(RuntimeError):
 class MarkovOperator:
     P: np.ndarray                 # (N-s, N-s) row stochastic
     s: int
-    K: int
     dt: float = 1.0
     bandwidths: Optional[np.ndarray] = None    # length N
     row_times: Optional[np.ndarray] = None     # physical times of rows
@@ -186,12 +186,13 @@ def kernel_matrix(D2, s: int, bandwidths: np.ndarray) -> np.ndarray:
     return S
 
 
-def row_stochastic(S: np.ndarray, s: int = 1, K: int = 0, dt: float = 1.0,
+def row_stochastic(S: np.ndarray, s: int = 1, dt: float = 1.0,
                    bandwidths=None, row_times=None) -> MarkovOperator:
     """Normalize kernel rows to one, yielding the Markov matrix P.
 
     A C-contiguous float64 ``S`` is normalized in place and becomes P; any
     other input is copied first.  On a NumericalError ``S`` is left unchanged.
+    ``s``, ``dt``, ``bandwidths`` and ``row_times`` pass to the operator as given.
     """
     S = np.ascontiguousarray(S, dtype=float)
     sums = S.sum(axis=1)
@@ -211,7 +212,7 @@ def row_stochastic(S: np.ndarray, s: int = 1, K: int = 0, dt: float = 1.0,
         # Entries below eps are negligible against each row's sum of 1, but
         # the many subnormal ones make every matrix product several times slower.
         block[block < np.finfo(float).eps] = 0.0
-    return MarkovOperator(P=S, s=s, K=K, dt=dt, bandwidths=bandwidths, row_times=row_times)
+    return MarkovOperator(P=S, s=s, dt=dt, bandwidths=bandwidths, row_times=row_times)
 
 
 def build_operator(emb, s: int, K: int) -> MarkovOperator:
@@ -227,7 +228,7 @@ def build_operator(emb, s: int, K: int) -> MarkovOperator:
     S = kernel_matrix(D2, s, d)
     dt = getattr(emb, "dt", 1.0)
     times = emb.timestamps(len(S)) if hasattr(emb, "timestamps") else None
-    return row_stochastic(S, s=s, K=K, dt=dt, bandwidths=d, row_times=times)
+    return row_stochastic(S, s=s, dt=dt, bandwidths=d, row_times=times)
 
 
 def _in_mode_order(w: np.ndarray, *vecs):
@@ -265,13 +266,16 @@ def _dense_eigs(P: np.ndarray):
 def _leading_eigs(A, m: int):
     """Leading eigenpairs of A, a CSR copy or ``_blas_operator`` of P, in mode order.
 
-    ARPACK needs k = m + 2 below n - 1.  Returns (w, vl, vr) with at least
-    ``_retained(w, m)`` modes, vl[:, j] an eigenvector of A^T at conj(w_j) as
-    ``scipy.linalg.eig`` returns it; or None when the answer cannot be used.
+    Returns (w, vl, vr) with at least ``_retained(w, m)`` modes, vl[:, j] an
+    eigenvector of A^T at conj(w_j) as ``scipy.linalg.eig`` returns it; or None
+    when ARPACK cannot take the request (k = m + 2 not below n - 1) or gives an
+    unusable answer.
     """
     import scipy.sparse.linalg as sla    # deferred: keeps the CLI import cheap
 
     n, k = A.shape[0], m + 2
+    if k >= n - 1:
+        return None
     # A fixed random start keeps runs reproducible; ones would not do, being
     # the lambda = 1 eigenvector.  ncv = 4k needs far fewer restarts than
     # ARPACK's default 2k + 1 on the clustered spectra near 1.
@@ -290,7 +294,7 @@ def _leading_eigs(A, m: int):
     conj_mu, vl = _in_mode_order(np.conj(mu), vl)
     r = _retained(w, m)
     if bound >= np.round(np.abs(w), _MOD_DECIMALS)[r - 1] or np.any(
-            np.abs(conj_mu[:r] - w[:r]) > _PAIR_TOL):
+            np.abs(conj_mu[:r] - w[:r]) > _LR_TOL):
         return None
     return w, vl, vr
 
@@ -326,22 +330,15 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     pair (0 < |Im| <= ``_PAIR_TOL``) becomes two real modes at Re lambda with
     the real basis (Re v, Im v) and duals biorthogonal to it.
     """
-    P = op.P
-    n = P.shape[0]
-    if m is None:
-        m = n
+    P, n = op.P, op.n
+    m = n if m is None else m
     if not 1 <= m <= n:
         raise ValueError(f"mode count m must lie in [1, {n}], got {m}")
-    # ARPACK needs k = m + 2 below n - 1; LAPACK answers everything else
-    A, found = P, None
-    if m + 2 < n - 1:
-        # products with P cost less on a CSR copy when P is mostly zero;
-        # dense ones run in SciPy's BLAS, which ARPACK itself links
-        if np.count_nonzero(P) / P.size <= _CSR_DENSITY:
-            A = scipy.sparse.csr_array(P)
-        else:
-            A = _blas_operator(P)
-        found = _leading_eigs(A, m)
+    # one operand for ARPACK and every residual product: a CSR copy of a mostly
+    # zero P, else dense products in SciPy's BLAS, which ARPACK itself links
+    mostly_zero = np.count_nonzero(P) / P.size <= _CSR_DENSITY
+    A = scipy.sparse.csr_array(P) if mostly_zero else _blas_operator(P)
+    found = _leading_eigs(A, m)
     w, vl, vr = _dense_eigs(P) if found is None else found
     # do not split a conjugate pair at the retention boundary
     m = _retained(w, m)

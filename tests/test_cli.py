@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -9,6 +10,31 @@ from spectrend.cli import main
 from spectrend.data import benthic_fixture_path
 
 BENTHIC = str(benthic_fixture_path())
+
+# every subcommand's flags and help texts, in the order --help lists them
+COMMON_HELP = [
+    ("--config", "JSON run configuration"),
+    ("--model", "synthetic model kind (M, A, F, Fprime)"),
+    ("--steps", "synthetic run length"),
+    ("--seed", "synthetic seed"),
+    ("--out", "output directory (default $SPECTREND_OUT or ./spectrend_out)"),
+]
+PIPELINE_HELP = COMMON_HELP + [
+    ("--Q", "number of delays"),
+    ("--lag", "delay lag (sampling intervals)"),
+    ("--step", "operator forward step"),
+    ("--knn", "neighbor count for bandwidths"),
+    ("--modes", "retained eigenpair count"),
+]
+HELP = {
+    "synth": COMMON_HELP + [
+        ("--drift", "drift preset for kinds M/A (linear|quadratic)"),
+        ("--delta", "switching parameter for kinds F/Fprime"),
+    ],
+    "analyze": PIPELINE_HELP,
+    "reconstruct": PIPELINE_HELP + [("--indices", "comma-separated 1-based mode indices")],
+    "periods": PIPELINE_HELP,
+}
 
 
 def read_table(path, **kw):
@@ -62,6 +88,26 @@ class TestSynth:
         monkeypatch.setenv("SPECTREND_OUT", str(target))
         assert main(["synth", "--model", "M", "--steps", "50"]) == 0
         assert (target / "series.txt").exists()
+
+    def test_non_synthetic_source_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"kind": "scalar", "path": BENTHIC}}))
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error [synth] synth requires a synthetic source")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_lists_each_flag_with_its_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")    # one line per flag
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    pairs = [re.fullmatch(r"\s+(--\S+) \S+\s+(.*)", line).groups()
+             for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("--")]
+    assert pairs == HELP[command]
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze"])
@@ -126,6 +172,18 @@ def test_extreme_scale_matches_unit_scale(tmp_path, recwarn, scale):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_constant_record_exits_3(tmp_path, capsys):
+    # every delay vector coincides, so every K-th neighbor distance is zero
+    record = tmp_path / "record.txt"
+    np.savetxt(record, np.column_stack([np.arange(200.0), np.full(200, 4.2)]))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"source": {"kind": "scalar", "path": str(record)},
+                                    "embedding": {"Q": 3, "lag": 2},
+                                    "operator": {"knn": 8, "modes": 6}}))
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("error [operator] zero bandwidth")
+
+
 class TestAnalyze:
     def test_default_switching_run_tables(self, tmp_path):
         out = tmp_path / "o"
@@ -170,6 +228,28 @@ class TestAnalyze:
         code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "unknown config section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", [[1, 2], {"operator": 3}], ids=["root", "section"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]") and "must be a JSON object" in err
+
+    def test_oversized_grid_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("np.arange reached")
+
+        monkeypatch.setattr(np, "arange", no_grid)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"kind": "scalar", "path": BENTHIC,
+                                                   "dt": 1e-6}}))
+        code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [interpolate] a grid of 3e+09 points at dt=1e-06")
 
     @pytest.mark.parametrize("cfg, tag", [
         # the config shape an earlier README showed: model as a bare string
@@ -293,6 +373,14 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith("error [validate]") and "nonempty" in err
         assert not (out / "reconstruction.txt").exists()
+
+    @pytest.mark.parametrize("flag, value, tag", [("--indices", "", "[validate]"),
+                                                  ("--out", "", "[output]")])
+    def test_empty_flag_value_is_not_ignored(self, tmp_path, capsys, flag, value, tag):
+        # like every other flag, an empty value overrides the config; it is not dropped
+        argv = ["reconstruct", "--steps", "300", "--out", str(tmp_path / "o"), flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error {tag}")
 
     def test_field_stack_reconstruction(self, tmp_path):
         n_t, ny, nx = 120, 6, 6

@@ -6,6 +6,7 @@ from spectrend.data import (
     NonuniformRecord,
     TimeSeries,
     anomalies,
+    benthic_fixture_path,
     interpolate_uniform,
     load_benthic_fixture,
     load_field_stack,
@@ -135,6 +136,24 @@ class TestInterpolateUniform:
         with pytest.raises(ValueError):
             interpolate_uniform(rec, 0.0, 0.0, 2.0)
 
+    def test_oversized_grid_rejected_before_allocating(self, monkeypatch):
+        record = load_scalar_record(benthic_fixture_path())
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("np.arange reached")
+
+        monkeypatch.setattr(np, "arange", no_grid)
+        with pytest.raises(ValueError, match=r"grid of 3e\+09 points at dt=1e-06"):
+            interpolate_uniform(record, 1e-6, 0.0, 3000.0)
+
+    def test_fine_grid_within_limit_accepted(self):
+        # about 7 grid points per record sample
+        record = load_scalar_record(benthic_fixture_path())
+        series = interpolate_uniform(record, 0.25, 0.0, 3000.0)
+        assert len(series) == 12001
+        np.testing.assert_array_equal(series.samples[::4],
+                                      np.interp(np.arange(3001.0), record.times, record.values))
+
 
 class TestReverseTime:
     def test_flip(self):
@@ -221,6 +240,12 @@ class TestFieldStack:
         p = tmp_path / "stack.txt"
         write_lines(p, ["2 2 -999.0", "1 2", "3 4", "5 6"])
         with pytest.raises(ValueError, match="grid"):
+            load_field_stack(p)
+
+    def test_bad_header_rejected(self, tmp_path):
+        p = tmp_path / "stack.txt"
+        write_lines(p, ["2 2", "1 2", "3 4"])
+        with pytest.raises(ValueError, match="header must be 'ny nx sentinel'"):
             load_field_stack(p)
 
     def test_sentinel_override(self, tmp_path):

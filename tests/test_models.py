@@ -169,6 +169,14 @@ class TestModelConfig:
         cfg = ModelConfig(kind="M", drift=(0.1, 0.0, 0.0))
         assert cfg.drift_coefficients() == (0.1, 0.0, 0.0)
 
+    def test_rejects_short_custom_drift(self):
+        with pytest.raises(ValueError, match="triple"):
+            ModelConfig(kind="M", drift=(0.1, 0.0))
+
+    def test_rejects_zero_sharpness(self):
+        with pytest.raises(ValueError, match="sharpness"):
+            ModelConfig(kind="F", c=0)
+
 
 class TestSimulate:
     def test_model_m_initial_observation(self):

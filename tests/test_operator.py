@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from scipy.spatial.distance import cdist
 
@@ -82,6 +83,12 @@ class TestKnnBandwidths:
     def test_k_too_small(self):
         with pytest.raises(ValueError):
             knn_bandwidths(sqdist(random_cloud(10)), 0)
+
+    def test_infinite_distance_raises(self):
+        D2 = np.full((3, 3), np.inf)
+        np.fill_diagonal(D2, 0.0)
+        with pytest.raises(NumericalError, match="overflow"):
+            knn_bandwidths(D2, 1)
 
 
 class TestKernelMatrix:
@@ -163,6 +170,10 @@ class TestRowStochastic:
         with pytest.raises(NumericalError, match="row 1"):
             row_stochastic(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    def test_nan_row_rejected(self):
+        with pytest.raises(NumericalError, match="non-finite entries in 1 row"):
+            row_stochastic(np.array([[1.0, 1.0], [np.nan, 1.0]]))
+
     def test_leading_eigenvalue_one_constant_vector(self):
         S = kernel_matrix(sqdist(random_cloud(50, seed=5)), 1, np.full(50, 0.5))
         dec = eigendecompose(row_stochastic(S), 5)
@@ -173,7 +184,7 @@ class TestRowStochastic:
 
 class TestEigendecompose:
     def test_symmetric_two_state(self):
-        op = MarkovOperator(P=np.array([[0.9, 0.1], [0.1, 0.9]]), s=1, K=1)
+        op = MarkovOperator(P=np.array([[0.9, 0.1], [0.1, 0.9]]), s=1)
         dec = eigendecompose(op)
         np.testing.assert_allclose(dec.eigenvalues, [1.0, 0.8], atol=1e-14)
         v1, v2 = dec.right_vectors.T
@@ -183,7 +194,7 @@ class TestEigendecompose:
 
     def test_cyclic_shift_spectrum(self):
         P = np.roll(np.eye(4), 1, axis=1)
-        dec = eigendecompose(MarkovOperator(P=P, s=1, K=1))
+        dec = eigendecompose(MarkovOperator(P=P, s=1))
         np.testing.assert_allclose(dec.eigenvalues,
                                    [1.0, 1.0j, -1.0j, -1.0], atol=1e-12)
         assert np.angle(dec.eigenvalues[1]) == pytest.approx(np.pi / 2.0, abs=1e-12)
@@ -191,7 +202,7 @@ class TestEigendecompose:
 
     def test_conjugate_pair_bookkeeping(self):
         P = np.roll(np.eye(4), 1, axis=1)
-        dec = eigendecompose(MarkovOperator(P=P, s=1, K=1))
+        dec = eigendecompose(MarkovOperator(P=P, s=1))
         assert dec.pair_index[1] == 2 and dec.pair_index[2] == 1
         assert dec.pair_index[0] == -1 and dec.pair_index[3] == -1
         v2, v3 = dec.right_vectors[:, 1], dec.right_vectors[:, 2]
@@ -202,14 +213,14 @@ class TestEigendecompose:
 
     def test_retention_boundary_never_splits_pair(self):
         P = np.roll(np.eye(4), 1, axis=1)
-        dec = eigendecompose(MarkovOperator(P=P, s=1, K=1), 2)
+        dec = eigendecompose(MarkovOperator(P=P, s=1), 2)
         assert dec.n_modes == 3  # extended to keep the conjugate partner
         assert dec.pair_index[1] == 2
 
     def test_repeated_conjugate_pair_is_paired(self):
         # two disjoint 5-cycles: every complex eigenvalue appears twice
         P = np.kron(np.eye(2), np.roll(np.eye(5), 1, axis=1))
-        dec = eigendecompose(MarkovOperator(P=P, s=1, K=1))
+        dec = eigendecompose(MarkovOperator(P=P, s=1))
         np.testing.assert_array_equal(dec.pair_index, [-1, -1, 3, 2, 5, 4, 7, 6, 9, 8])
         upper = dec.eigenvalues[2::2]
         np.testing.assert_array_equal(dec.eigenvalues[3::2], upper.conj())
@@ -233,7 +244,7 @@ class TestEigendecompose:
             assert np.linalg.norm(twice - once.series) <= 1e-12 * np.linalg.norm(once.series)
 
     def test_mode_count_validation(self):
-        op = MarkovOperator(P=np.eye(3), s=1, K=1)
+        op = MarkovOperator(P=np.eye(3), s=1)
         with pytest.raises(ValueError):
             eigendecompose(op, 0)
         with pytest.raises(ValueError):
@@ -412,7 +423,7 @@ class TestKrylovPath:
 
     def test_modulus_tie_across_cut_falls_back(self, dense_calls):
         # 40 eigenvalues of modulus 1: ARPACK does not converge on the cycle
-        op = MarkovOperator(P=np.roll(np.eye(40), 1, axis=1), s=1, K=1)
+        op = MarkovOperator(P=np.roll(np.eye(40), 1, axis=1), s=1)
         dec = eigendecompose(op, 5)
         assert dense_calls == [(40, 40)]
         z = np.exp(2j * np.pi / 40.0)
@@ -423,7 +434,7 @@ class TestKrylovPath:
     def test_converged_tie_across_cut_falls_back(self, dense_calls):
         # 20 disjoint two-state swaps: eigenvalues +1 and -1, twenty each.
         # ARPACK converges to a mix of both, the same on P and P^T.
-        op = MarkovOperator(P=np.kron(np.eye(20), [[0.0, 1.0], [1.0, 0.0]]), s=1, K=1)
+        op = MarkovOperator(P=np.kron(np.eye(20), [[0.0, 1.0], [1.0, 0.0]]), s=1)
         dec = eigendecompose(op, 8)
         assert dense_calls == [(40, 40)]
         np.testing.assert_allclose(dec.eigenvalues, np.ones(8), rtol=0, atol=1e-12)
@@ -450,6 +461,33 @@ class TestKrylovPath:
         dec = eigendecompose(op, 10)
         assert dense_calls[0] == (300, 300)
         self.assert_matches_dense(dec, op)
+
+    def test_dense_solver_failure_is_numerical_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("QR iteration failed")
+
+        monkeypatch.setattr(scipy.linalg, "eig", no_convergence)
+        op = MarkovOperator(P=np.array([[0.9, 0.1], [0.1, 0.9]]), s=1)
+        with pytest.raises(NumericalError, match="QR iteration failed"):
+            eigendecompose(op)
+
+    @pytest.mark.parametrize("m, k", [(296, 298), (297, None), (None, None)])
+    def test_arpack_takes_k_below_n_minus_1(self, dense_calls, monkeypatch, m, k):
+        # n = 300: ARPACK runs for k = m + 2 up to 298 and LAPACK answers the rest
+        import scipy.sparse.linalg as sla
+
+        eigs, ks = sla.eigs, []
+
+        def eigs_spy(A, **kwargs):
+            ks.append(kwargs["k"])
+            return eigs(A, **kwargs)
+
+        monkeypatch.setattr(sla, "eigs", eigs_spy)
+        op = self.kernel_operator(0)
+        eigendecompose(op, m)
+        assert ks == ([k, k] if k else [])
+        if k is None:
+            assert dense_calls == [(300, 300)]
 
     def test_row_stochastic_flushes_entries_below_eps(self):
         pts = two_cluster_cloud()
@@ -595,7 +633,7 @@ class TestCsrOperand:
 
     def test_fallback_reads_dense_matrix(self, operands):
         # 2.5% nonzero, so ARPACK tries the CSR copy first and gives up
-        op = MarkovOperator(P=np.roll(np.eye(40), 1, axis=1), s=1, K=1)
+        op = MarkovOperator(P=np.roll(np.eye(40), 1, axis=1), s=1)
         dec = eigendecompose(op, 5)
         assert operands["eigs"] and all(scipy.sparse.issparse(A) for A in operands["eigs"])
         assert len(operands["dense"]) == 1 and operands["dense"][0] is op.P
@@ -615,7 +653,7 @@ class TestCsrOperand:
 class TestEigenvalueTable:
     def test_columns_and_order(self, tmp_path):
         P = np.roll(np.eye(4), 1, axis=1)
-        dec = eigendecompose(MarkovOperator(P=P, s=1, K=1))
+        dec = eigendecompose(MarkovOperator(P=P, s=1))
         path = tmp_path / "eigs.txt"
         write_eigenvalue_table(dec, path)
         rows = np.loadtxt(path)

@@ -51,7 +51,7 @@ def switching_pipeline():
 def two_cycles_dec():
     # two disjoint 5-cycles: every complex eigenvalue appears twice
     P = np.kron(np.eye(2), np.roll(np.eye(5), 1, axis=1))
-    return eigendecompose(MarkovOperator(P=P, s=1, K=1))
+    return eigendecompose(MarkovOperator(P=P, s=1))
 
 
 class TestEigenperiod:
@@ -115,6 +115,11 @@ class TestClassifyModes:
     def test_length_mismatch_rejected(self, random_dec):
         with pytest.raises(ValueError, match="length"):
             classify_modes(random_dec, np.ones(7))
+
+    def test_field_observations_rejected(self, random_dec):
+        n = random_dec.right_vectors.shape[0]
+        with pytest.raises(ValueError, match="scalar observation series"):
+            classify_modes(random_dec, np.ones((n, 2)))
 
 
 class TestConjugateClosure:
@@ -277,7 +282,7 @@ class TestTrendMode:
 
     def test_no_real_mode_raises(self):
         P = np.roll(np.eye(4), 1, axis=1)
-        dec = eigendecompose(MarkovOperator(P=P, s=1, K=1), 3)
+        dec = eigendecompose(MarkovOperator(P=P, s=1), 3)
         # modes: 1, +i, -i; drop the trailing real -1 so only pairs remain
         with pytest.raises(ValueError, match="real"):
             trend_mode(dec)
