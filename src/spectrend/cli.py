@@ -23,8 +23,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import _table, data, embed, models, operator, spectral
 
 ENV_OUT = "SPECTREND_OUT"
@@ -210,8 +208,7 @@ def _analyze(args):
                      cfg["operator"]["step"], cfg["operator"]["knn"])
     modes = min(cfg["operator"]["modes"], opr.n)
     dec = _run_stage("eigendecompose", operator.eigendecompose, opr, modes)
-    base = (emb.Q - 1) * emb.ell
-    return cfg, series, opr, dec, np.atleast_2d(series.samples.T).T[base:base + opr.n]
+    return cfg, series, opr, dec, emb.align(series.samples.reshape(len(series), -1), opr.n)
 
 
 def cmd_synth(args) -> int:

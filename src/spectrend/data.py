@@ -114,6 +114,8 @@ def interpolate_uniform(record: NonuniformRecord, dt: float,
     """Linear interpolation onto t_start, t_start+dt, ..., t_end."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
+    if t_end < t_start:
+        raise ValueError(f"t_end={t_end!r} lies before t_start={t_start!r}")
     if t_start < record.times[0] or t_end > record.times[-1]:
         raise ValueError(
             f"requested [{t_start}, {t_end}] exceeds record support "
@@ -184,6 +186,9 @@ def load_field_stack(path, sentinel: Optional[float] = None):
     stack = raw.reshape(n_t, ny * nx)
     missing = np.any(stack == sentinel, axis=0)
     kept = np.flatnonzero(~missing)
+    if kept.size == 0:
+        raise ValueError(f"{path}: every gridpoint equals the sentinel {sentinel!r} in at "
+                         "least one snapshot; no gridpoint is left")
     mask = FieldMask(shape=(ny, nx), kept=kept)
     return TimeSeries(samples=stack[:, kept]), mask
 

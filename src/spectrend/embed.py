@@ -26,8 +26,9 @@ class EmbeddedSeries:
     """Delay-vector matrix plus the metadata needed to align times.
 
     Row ``i`` holds ``(h_t, h_{t-ell}, ..., h_{t-(Q-1) ell})`` for
-    ``t = (Q-1) ell + i`` (the newest sample stamps the row), flattened
-    snapshot-first when the source is d-dimensional.
+    ``t = offset + i`` (the newest sample stamps the row), flattened
+    snapshot-first when the source is d-dimensional.  ``align`` and
+    ``timestamps`` read other source-indexed arrays at the same samples.
     """
 
     points: np.ndarray        # (N, d*Q)
@@ -41,10 +42,34 @@ class EmbeddedSeries:
     def n_points(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def offset(self) -> int:
+        """Source index of row 0's newest sample: row ``i`` is stamped by sample
+        ``offset + i``."""
+        return (self.Q - 1) * self.ell
+
     def timestamps(self, count=None) -> np.ndarray:
         """Physical times of the first ``count`` rows (default: all)."""
         n = self.n_points if count is None else count
-        return self.t0 + (self.ell * (self.Q - 1) + np.arange(n)) * self.dt
+        return self.t0 + (self.offset + np.arange(n)) * self.dt
+
+    def align(self, values, count=None) -> np.ndarray:
+        """Entries of source-indexed ``values`` at the first ``count`` rows.
+
+        ``values`` is indexed like the source series, (N~,) or (N~, d), and
+        may be any per-sample array: observations, masks, ages, targets.
+        Returns ``values[offset : offset + count]`` (``count`` defaults to
+        every row), a view when ``values`` is an ndarray.
+        """
+        values = np.asarray(values)
+        n = self.n_points if count is None else count
+        if not 0 <= n <= self.n_points:
+            raise ValueError(f"count must lie in [0, {self.n_points}], got {count!r}")
+        if len(values) < self.offset + n:
+            raise ValueError(
+                f"values of length {len(values)} are too short to align {n} rows: "
+                f"need at least {self.offset + n} source samples")
+        return values[self.offset:self.offset + n]
 
 
 def delay_embed(series, Q: int, ell: int, dt: float = 1.0, t0: float = 0.0) -> EmbeddedSeries:
@@ -80,12 +105,12 @@ def delay_embed(series, Q: int, ell: int, dt: float = 1.0, t0: float = 0.0) -> E
         raise ValueError(f"series has {bad.size} non-finite sample(s) (NaN or inf), "
                          f"first at index {bad[0]}")
     n_src, d = arr.shape
-    n = n_src - (Q - 1) * ell
+    base = (Q - 1) * ell
+    n = n_src - base
     if n <= 0:
         raise ValueError(
             f"series too short for embedding: length {n_src}, "
-            f"need at least {(Q - 1) * ell + 1} samples for Q={Q}, ell={ell}")
-    base = (Q - 1) * ell
+            f"need at least {base + 1} samples for Q={Q}, ell={ell}")
     cols = [arr[base - q * ell: base - q * ell + n] for q in range(Q)]
     pts = np.hstack(cols)
     return EmbeddedSeries(points=pts, Q=Q, ell=ell, dt=dt, t0=t0, source_length=n_src)

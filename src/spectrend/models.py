@@ -107,6 +107,11 @@ def quadratic_drift(n_steps: int, peak: float = 10.0, t_peak_frac: float = 0.65)
     return (c1 + c2, 2.0 * c2, 0.0)
 
 
+def _is_real(value) -> bool:
+    """An int, float or NumPy real scalar, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
     """Parameters of one synthetic run.
@@ -141,9 +146,25 @@ class ModelConfig:
         if type(steps) is not int or steps <= 0:    # rejects bool
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", steps)
-        for name in ("alpha", "alpha1", "alpha2", "a", "delta", "c", "theta0", "theta2_0"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not isinstance(self.seed, numbers.Integral) or type(self.seed) is bool or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name in ("alpha", "alpha1", "alpha2", "a", "delta", "c", "theta0", "theta2_0", "x0"):
+            value = getattr(self, name)
+            if value is None and name == "x0":
+                continue
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if isinstance(self.drift, str):
+            if self.drift not in ("linear", "quadratic"):
+                raise ValueError(f"unknown drift preset {self.drift!r}")
+        else:
+            coeffs = tuple(self.drift) if isinstance(self.drift, (list, tuple, np.ndarray)) else ()
+            if len(coeffs) != 3 or not all(_is_real(v) and math.isfinite(v) for v in coeffs):
+                raise ValueError("drift must be 'linear', 'quadratic' or a (d0, d1, d2) triple "
+                                 f"of finite numbers, got {self.drift!r}")
+            object.__setattr__(self, "drift", tuple(float(v) for v in coeffs))
         if self.kind in ("F", "Fprime"):
             if not 0.0 < self.delta < 1.0:
                 raise ValueError(f"delta must lie in (0,1), got {self.delta!r}")
@@ -153,16 +174,6 @@ class ModelConfig:
                 raise ValueError(f"sharpness c must be positive, got {self.c!r}")
             if self.x0 is not None and not 0.0 <= self.x0 <= 1.0:
                 raise ValueError(f"x0 must lie in [0,1] for kind {self.kind}, got {self.x0!r}")
-        if self.kind in ("M", "A"):
-            drift = self.drift
-            if isinstance(drift, str):
-                if drift not in ("linear", "quadratic"):
-                    raise ValueError(f"unknown drift preset {drift!r}")
-            else:
-                coeffs = tuple(float(v) for v in drift)
-                if len(coeffs) != 3:
-                    raise ValueError("custom drift must be a (d0, d1, d2) triple")
-                object.__setattr__(self, "drift", coeffs)
 
     def drift_coefficients(self) -> tuple:
         if self.drift == "linear":

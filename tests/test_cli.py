@@ -266,9 +266,11 @@ class TestAnalyze:
         ({"source": {"kind": "scalar", "path": BENTHIC, "header_rows": -1}}, "[validate]"),
         ({"source": {"kind": "scalar", "path": BENTHIC, "dt": "1"}}, "[validate]"),
         ({"source": {"kind": "scalar", "path": BENTHIC, "dt": float("nan")}}, "[validate]"),
-        # a grid of 3e15 points fails to allocate at once, before any memory
-        # is touched; a step whose grid fits in virtual memory is not tested
+        # a grid of 3e15 points exceeds 1000 points per record sample and is
+        # rejected before it is allocated
         ({"source": {"kind": "scalar", "path": BENTHIC, "dt": 1e-12}}, "[interpolate]"),
+        ({"source": {"kind": "scalar", "path": BENTHIC, "t_start": 500, "t_end": 100}},
+         "[interpolate]"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, tag):
         cfg_path = tmp_path / "run.json"
@@ -329,6 +331,18 @@ class TestAnalyze:
         code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_field_stack_without_surviving_gridpoint_exits_2(self, tmp_path, capsys):
+        # each cell hits the sentinel in some snapshot, none in all of them
+        stack = tmp_path / "stack.txt"
+        stack.write_text("2 2 -999\n-999 1\n2 3\n4 -999\n5 6\n7 8\n-999 9\n"
+                         "1 2\n3 -999\n")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"kind": "field", "path": str(stack)}}))
+        code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [load]") and "sentinel -999.0" in err
 
     def test_benthic_fixture_pipeline(self, tmp_path):
         cfg = {"source": {"kind": "scalar", "path": BENTHIC,

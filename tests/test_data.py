@@ -136,6 +136,12 @@ class TestInterpolateUniform:
         with pytest.raises(ValueError):
             interpolate_uniform(rec, 0.0, 0.0, 2.0)
 
+    def test_end_before_start_rejected(self):
+        rec = NonuniformRecord(times=[0.0, 1000.0], values=[0.0, 2.0])
+        with pytest.raises(ValueError, match="t_end=100.0 lies before t_start=500.0"):
+            interpolate_uniform(rec, 1.0, 500.0, 100.0)
+        assert len(interpolate_uniform(rec, 1.0, 500.0, 500.0)) == 1
+
     def test_oversized_grid_rejected_before_allocating(self, monkeypatch):
         record = load_scalar_record(benthic_fixture_path())
 
@@ -246,6 +252,13 @@ class TestFieldStack:
         p = tmp_path / "stack.txt"
         write_lines(p, ["2 2", "1 2", "3 4"])
         with pytest.raises(ValueError, match="header must be 'ny nx sentinel'"):
+            load_field_stack(p)
+
+    def test_no_surviving_gridpoint_rejected(self, tmp_path):
+        p = tmp_path / "stack.txt"
+        snaps = [[-999.0, 1.0, 2.0, 3.0], [4.0, -999.0, 5.0, 6.0], [7.0, 8.0, -999.0, -999.0]]
+        write_stack(p, snaps, 2, 2)
+        with pytest.raises(ValueError, match="every gridpoint equals the sentinel -999.0"):
             load_field_stack(p)
 
     def test_sentinel_override(self, tmp_path):

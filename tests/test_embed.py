@@ -58,6 +58,50 @@ class TestDelayEmbed:
         assert ts[1] - ts[0] == 0.5
         assert len(ts) == emb.n_points
 
+    @pytest.mark.parametrize("count", [None, 5])
+    def test_timestamps_match_closed_form(self, count):
+        emb = delay_embed(np.arange(30.0), Q=3, ell=4, dt=0.1, t0=-7.3)
+        n = emb.n_points if count is None else count
+        np.testing.assert_array_equal(emb.timestamps(count),
+                                      -7.3 + (4 * (3 - 1) + np.arange(n)) * 0.1)
+
+    @pytest.mark.parametrize("count", [None, 0, 5, 13])
+    def test_align_scalar_values_is_the_offset_slice(self, count):
+        h = np.arange(30.0) ** 2
+        emb = delay_embed(h, Q=3, ell=4)
+        n = emb.n_points if count is None else count
+        got = emb.align(h, count)
+        np.testing.assert_array_equal(got, h[8:8 + n])
+        assert got.base is h
+        # row i's newest delay coordinate is the aligned value
+        np.testing.assert_array_equal(got, emb.points[:n, 0])
+
+    def test_align_vector_values_keeps_columns(self):
+        h = np.arange(40.0).reshape(20, 2)
+        emb = delay_embed(h, Q=2, ell=3)
+        got = emb.align(h, 10)
+        np.testing.assert_array_equal(got, h[3:13])
+        np.testing.assert_array_equal(got, emb.points[:10, :2])
+        assert np.shares_memory(got, h)
+
+    def test_align_reads_any_source_indexed_array(self):
+        emb = delay_embed(np.zeros(12), Q=2, ell=2)
+        np.testing.assert_array_equal(emb.align([True, False] * 6, 3), [True, False, True])
+
+    def test_align_rejects_short_values(self):
+        emb = delay_embed(np.arange(30.0), Q=3, ell=4)
+        with pytest.raises(ValueError, match="length 29 .* need at least 30"):
+            emb.align(np.arange(29.0))
+        with pytest.raises(ValueError, match="need at least 18"):
+            emb.align(np.arange(17.0), 10)
+        assert len(emb.align(np.arange(18.0), 10)) == 10
+
+    @pytest.mark.parametrize("count", [-1, 23])
+    def test_align_rejects_count_outside_rows(self, count):
+        emb = delay_embed(np.arange(30.0), Q=3, ell=4)
+        with pytest.raises(ValueError, match=r"count must lie in \[0, 22\]"):
+            emb.align(np.arange(100.0), count)
+
     def test_rotation_rows_lie_in_ellipse_plane(self):
         # cos(j 2 pi / 40) embedded with Q=3, ell=10 has beta = pi/2: every
         # row lies in span{[1, cos b, cos 2b], [0, -sin b, -sin 2b]}

@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spectrend.cli import main
 from spectrend.models import (
     ModelConfig,
     linear_drift,
@@ -176,6 +178,38 @@ class TestModelConfig:
     def test_rejects_zero_sharpness(self):
         with pytest.raises(ValueError, match="sharpness"):
             ModelConfig(kind="F", c=0)
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "F", "seed": "a"},
+        {"kind": "F", "seed": -1},
+        {"kind": "F", "seed": True},
+        {"kind": "F", "x0": "0.3"},
+        {"kind": "M", "x0": float("inf")},
+        {"kind": "M", "drift": 5},
+        {"kind": "M", "drift": [1, "a", 3]},
+        {"kind": "M", "drift": [1, 2, float("nan")]},
+        {"kind": "F", "drift": "cubic"},
+        {"kind": "M", "alpha": float("nan")},
+        {"kind": "F", "alpha1": float("inf")},
+        {"kind": "Fprime", "theta2_0": float("-inf")},
+    ])
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, model):
+        # JSON NaN and Infinity parse to floats, so they reach ModelConfig
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"model": {"n_steps": 300, **model}}}))
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        field = next(key for key in model if key != "kind")
+        name = "unknown drift preset" if model[field] == "cubic" else f"{field} must be"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [model-config] {name}") and err.count("\n") == 1
+
+    def test_numpy_scalars_accepted(self):
+        plain = ModelConfig(kind="F", n_steps=200, seed=3, x0=0.25, alpha1=0.2)
+        numpy = ModelConfig(kind="F", n_steps=200, seed=np.int64(3), x0=np.float64(0.25),
+                            alpha1=np.float64(0.2))
+        np.testing.assert_array_equal(simulate(numpy).observations, simulate(plain).observations)
+        drift = ModelConfig(kind="M", drift=np.array([0.1, 0.0, 0.0]), a=np.int32(2))
+        assert drift.drift_coefficients() == (0.1, 0.0, 0.0)
 
 
 class TestSimulate:

@@ -32,3 +32,9 @@ def test_config_examples_run(tmp_path, monkeypatch):
     (tmp_path / "scalar.json").write_text(json.dumps(scalar_cfg))
     assert cli.main(["analyze", "--config", "scalar.json", "--out", "scalar"]) == 0
     assert (tmp_path / "scalar" / "periods.txt").exists()
+
+
+def test_config_table_lists_every_schema_key():
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \|", README, flags=re.M)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(name, key) for name, keys in cli._SCHEMA.items() for key in keys}

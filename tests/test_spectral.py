@@ -41,9 +41,8 @@ def switching_pipeline():
     traj = simulate(ModelConfig(kind="F", n_steps=2000, seed=11))
     emb = delay_embed(traj.observations, Q=3, ell=10)
     dec = eigendecompose(build_operator(emb, 1, 25), 12)
-    base = (emb.Q - 1) * emb.ell
-    h_rows = traj.observations[base:base + dec.right_vectors.shape[0]]
-    in_fast = regime_mask(traj)[base:base + dec.right_vectors.shape[0]]
+    h_rows = emb.align(traj.observations, dec.right_vectors.shape[0])
+    in_fast = emb.align(regime_mask(traj), dec.right_vectors.shape[0])
     return traj, dec, h_rows, in_fast
 
 
@@ -275,7 +274,7 @@ class TestTrendMode:
         dec = eigendecompose(build_operator(emb, 1, 10), 6)
         j, series = trend_mode(dec)
         assert j >= 2
-        drift = t[(emb.Q - 1) * emb.ell:][:len(series)] / 70.0
+        drift = emb.align(t, len(series)) / 70.0
         _, _, scaled = affine_scale(series, drift)
         r = np.corrcoef(scaled, drift)[0, 1]
         assert abs(r) > 0.95
