@@ -135,7 +135,10 @@ def resolve_config(args) -> dict:
         if flag == "indices":
             val = _run_stage("config", _parse_indices, val)
         if section == "model":
-            cfg["source"]["kind"] = "synthetic"
+            if cfg["source"]["kind"] != "synthetic":
+                raise StageError("config", ValueError(
+                    f"--{flag} sets the synthetic model, but source.kind is "
+                    f"{cfg['source']['kind']!r}"), 2)
             cfg["source"]["model"][key] = val
         else:
             cfg[section][key] = val

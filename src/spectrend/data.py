@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.resources
+import math
 import warnings
 from typing import Optional
 
@@ -73,28 +74,31 @@ class FieldMask:
 
 
 def load_scalar_record(path, time_col: int = 0, value_col: int = 1,
-                       header_rows: int = 0, comment: str = "#") -> NonuniformRecord:
+                       header_rows: int = 0) -> NonuniformRecord:
     """Parse a delimited text record into (times, values).
 
-    Any columns beyond the requested two (such as per-sample uncertainty)
-    are ignored.  Times are sorted ascending if needed (with a warning);
-    duplicate times are an error.
+    Blank lines and lines starting with ``#`` are skipped, and columns beyond
+    the requested two (such as per-sample uncertainty) are ignored.  Times
+    are sorted ascending if needed (with a warning); duplicates are an error.
     """
     times, values = [], []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             text = line.strip()
-            if not text or (comment and text.startswith(comment)):
+            if not text or text.startswith("#"):
                 continue
             if header_rows > 0:
                 header_rows -= 1
                 continue
             parts = text.split()
             try:
-                times.append(float(parts[time_col]))
-                values.append(float(parts[value_col]))
+                t, v = float(parts[time_col]), float(parts[value_col])
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: parse error at line {lineno}: {text!r}") from exc
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise ValueError(f"{path}: non-finite time or value at line {lineno}: {text!r}")
+            times.append(t)
+            values.append(v)
     t = np.asarray(times)
     v = np.asarray(values)
     if len(t) == 0:
@@ -166,8 +170,9 @@ def load_field_stack(path, sentinel: Optional[float] = None):
 
     Format: one header line ``ny nx sentinel`` followed by the snapshots,
     each as ny rows of nx values, row major.  Gridpoints equal to the
-    sentinel at any time are dropped from every snapshot; the mask records
-    the kept flat indices.  Pass ``sentinel`` to override the header value.
+    sentinel (NaN, for a ``nan`` sentinel) at any time are dropped from every
+    snapshot; the mask records the kept flat indices.  Any other NaN or inf
+    value is an error.  Pass ``sentinel`` to override the header value.
     """
     with open(path) as f:
         header = f.readline().split()
@@ -184,7 +189,16 @@ def load_field_stack(path, sentinel: Optional[float] = None):
             f"got {raw.shape[0]} rows of {raw.shape[1]}")
     n_t = raw.shape[0] // ny
     stack = raw.reshape(n_t, ny * nx)
-    missing = np.any(stack == sentinel, axis=0)
+    # one stack-sized mask at a time: the finite check runs before the missing mask
+    finite = np.isfinite(stack).all()
+    missing = np.isnan(stack) if math.isnan(sentinel) else stack == sentinel
+    if not finite:
+        bad = np.flatnonzero(~(missing | np.isfinite(stack)))
+        if bad.size:
+            t, cell = divmod(int(bad[0]), ny * nx)
+            raise ValueError(f"{path}: non-finite value {stack.flat[bad[0]]:g} in snapshot {t}, "
+                             f"row {cell // nx}, column {cell % nx} (counting from 0)")
+    missing = missing.any(axis=0)
     kept = np.flatnonzero(~missing)
     if kept.size == 0:
         raise ValueError(f"{path}: every gridpoint equals the sentinel {sentinel!r} in at "

@@ -36,7 +36,6 @@ class EmbeddedSeries:
     ell: int
     dt: float = 1.0
     t0: float = 0.0           # physical time of source sample 0
-    source_length: int = 0
 
     @property
     def n_points(self) -> int:
@@ -72,14 +71,15 @@ class EmbeddedSeries:
         return values[self.offset:self.offset + n]
 
 
-def delay_embed(series, Q: int, ell: int, dt: float = 1.0, t0: float = 0.0) -> EmbeddedSeries:
+def delay_embed(series, Q: int, ell: int) -> EmbeddedSeries:
     """Build delay vectors from a scalar or d-dimensional series.
 
     Parameters
     ----------
-    series : array or TimeSeries-like
-        Shape (N~,) or (N~, d).  Objects exposing ``samples``/``dt``/``t0``
-        (see module data) are unwrapped, and their sampling metadata wins.
+    series : array or TimeSeries
+        Shape (N~,) or (N~, d).  A ``TimeSeries`` (see module data) carries
+        its ``dt`` and ``t0`` into the result; a raw array is sampled at
+        dt = 1 from t0 = 0.
     Q : int
         Number of delays (Q=1 keeps the series as is).
     ell : int
@@ -90,10 +90,9 @@ def delay_embed(series, Q: int, ell: int, dt: float = 1.0, t0: float = 0.0) -> E
     EmbeddedSeries
         N = N~ - (Q-1) ell rows of dimension d*Q.
     """
+    dt, t0 = 1.0, 0.0
     if hasattr(series, "samples"):
-        dt = float(series.dt)
-        t0 = float(series.t0)
-        series = series.samples
+        dt, t0, series = float(series.dt), float(series.t0), series.samples
     # C order, so the delay vectors are too: distances run slower on strided rows
     arr = np.ascontiguousarray(series, dtype=float)
     if arr.ndim == 1:
@@ -113,7 +112,7 @@ def delay_embed(series, Q: int, ell: int, dt: float = 1.0, t0: float = 0.0) -> E
             f"need at least {base + 1} samples for Q={Q}, ell={ell}")
     cols = [arr[base - q * ell: base - q * ell + n] for q in range(Q)]
     pts = np.hstack(cols)
-    return EmbeddedSeries(points=pts, Q=Q, ell=ell, dt=dt, t0=t0, source_length=n_src)
+    return EmbeddedSeries(points=pts, Q=Q, ell=ell, dt=dt, t0=t0)
 
 
 def ellipse_curve(beta: float, theta) -> np.ndarray:

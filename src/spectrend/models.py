@@ -266,12 +266,11 @@ def regime_mask(trajectory: Trajectory) -> np.ndarray:
     return trajectory.x > 0.5
 
 
-def write_trajectory(trajectory: Trajectory, series_path, meta_path=None) -> None:
+def write_trajectory(trajectory: Trajectory, series_path, meta_path) -> None:
     """Export as two-column text (step index, observation) plus a JSON sidecar."""
     h = trajectory.observations
     write_table(series_path, ["step observation"], [np.arange(len(h)), h])
-    if meta_path is not None:
-        cfg = dataclasses.asdict(trajectory.config)
-        with open(meta_path, "w") as f:
-            json.dump({"model": cfg, "n_steps": int(trajectory.config.n_steps)}, f, indent=2)
-            f.write("\n")
+    cfg = dataclasses.asdict(trajectory.config)
+    with open(meta_path, "w") as f:
+        json.dump({"model": cfg, "n_steps": int(trajectory.config.n_steps)}, f, indent=2)
+        f.write("\n")

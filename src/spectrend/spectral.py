@@ -52,8 +52,7 @@ def eigenperiod(lam: complex, s: int, dt: float = 1.0) -> float:
 
 
 def _target_array(target, n: int, what: str) -> np.ndarray:
-    arr = target.samples if hasattr(target, "samples") else np.asarray(target)
-    arr = np.asarray(arr, dtype=float)
+    arr = np.asarray(target, dtype=float)
     if arr.shape[0] != n:
         raise ValueError(f"{what} length {arr.shape[0]} does not match eigenvector length {n}")
     return arr
@@ -62,8 +61,8 @@ def _target_array(target, n: int, what: str) -> np.ndarray:
 def classify_modes(dec: SpectralDecomposition, observations) -> list:
     """Tag each mode and attach projection amplitudes a_j = |Y_j|.
 
-    Y_j is the coefficient of the observation series in the biorthogonal
-    expansion, computed against the raw (newest-sample aligned) series.
+    Y_j is the coefficient of ``observations``, an (n,) array aligned to the
+    operator's rows by ``EmbeddedSeries.align``, in the biorthogonal expansion.
     Conjugate pairs are reported once, through their positive-frequency
     member, which ``pair_index`` places first.
     """
@@ -106,10 +105,10 @@ def conjugate_closure(dec: SpectralDecomposition, indices) -> tuple:
 def project(dec: SpectralDecomposition, indices, target) -> Projection:
     """Project a target series onto the span of the chosen modes.
 
-    ``indices`` are 1-based mode positions.  The target may be scalar (n,)
-    or d-dimensional (n, d); the projection acts componentwise.  When the
-    index set is closed under conjugation the output of a real target is
-    real and returned as such.
+    ``indices`` are 1-based mode positions.  The target, aligned to the rows
+    by ``EmbeddedSeries.align``, is scalar (n,) or d-dimensional (n, d), and
+    the projection acts componentwise.  When the index set is closed under
+    conjugation the output of a real target is real and returned as such.
     """
     idx = sorted({int(i) for i in indices})
     realness = conjugate_closure(dec, idx) == tuple(idx)

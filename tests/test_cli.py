@@ -130,27 +130,40 @@ def test_unwritable_table_exits_2(tmp_path, capsys, command, table):
     assert capsys.readouterr().err.startswith("error [output]")
 
 
-@pytest.mark.parametrize("scale, bad, Q, code, tag", [
-    (1.0, np.nan, 30, 2, "[embed]"),     # a NaN in a 30-dimensional cloud
-    (1.0, np.nan, 3, 2, "[embed]"),      # a NaN in a 3-dimensional cloud
+@pytest.mark.parametrize("line, column, bad, reverse", [
+    (51, 1, np.nan, True),      # a value, which the reversed grid would put at index 349
+    (101, 0, np.nan, False),    # a time
+    (11, 0, np.inf, False),     # a time, which sorting would move to the end
 ])
-def test_non_finite_input_is_stage_tagged(tmp_path, capfd, recwarn, scale, bad, Q, code, tag):
+def test_non_finite_input_is_stage_tagged(tmp_path, capfd, recwarn, line, column, bad, reverse):
     t = np.arange(400.0)
-    v = scale * np.sin(2.0 * np.pi * t / 23.0)
-    v[200] += bad
+    rows = np.column_stack([t, np.sin(2.0 * np.pi * t / 23.0)])
+    rows[line - 1, column] = bad
     record = tmp_path / "record.txt"
-    np.savetxt(record, np.column_stack([t, v]))
+    np.savetxt(record, rows)
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"source": {"kind": "scalar", "path": str(record)},
-                                    "embedding": {"Q": Q, "lag": 2},
+    cfg_path.write_text(json.dumps({"source": {"kind": "scalar", "path": str(record),
+                                               "reverse_time": reverse},
+                                    "embedding": {"Q": 3, "lag": 2},
                                     "operator": {"knn": 8, "modes": 6}}))
-    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     captured = capfd.readouterr()
-    assert captured.err.startswith(f"error {tag}")
-    assert ("non-finite sample" if code == 2 else "overflow") in captured.err
+    assert captured.err.startswith(
+        f"error [load] {record}: non-finite time or value at line {line}: ")
     assert "DLASCL" not in captured.out and "illegal value" not in captured.out
-    # outside pytest a RuntimeWarning would print to stderr ahead of the error
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    # outside pytest a warning would print to stderr ahead of the error
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze"])
+def test_model_flag_with_record_source_exits_2(tmp_path, capsys, command):
+    cfg_path = tmp_path / "scalar.json"
+    cfg_path.write_text(json.dumps({"source": {"kind": "scalar", "path": BENTHIC}}))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--seed", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error [config] --seed sets the synthetic model, but source.kind is 'scalar'")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -343,6 +356,22 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error [load]") and "sentinel -999.0" in err
+
+    @pytest.mark.parametrize("sentinel, bad, code", [
+        ("nan", np.nan, 0), ("-999", np.nan, 2), ("-999", np.inf, 2)])
+    def test_field_stack_non_finite_cell(self, tmp_path, capsys, sentinel, bad, code):
+        field = np.random.default_rng(0).standard_normal((300, 3, 4))
+        field[5, 1, 2] = bad
+        stack = tmp_path / "stack.txt"
+        with open(stack, "w") as f:
+            f.write(f"3 4 {sentinel}\n")
+            np.savetxt(f, field.reshape(-1, 4))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"kind": "field", "path": str(stack)}}))
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("error [load]") and "snapshot 5, row 1, column 2" in err
 
     def test_benthic_fixture_pipeline(self, tmp_path):
         cfg = {"source": {"kind": "scalar", "path": BENTHIC,

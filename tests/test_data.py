@@ -261,6 +261,24 @@ class TestFieldStack:
         with pytest.raises(ValueError, match="every gridpoint equals the sentinel -999.0"):
             load_field_stack(p)
 
+    def test_nan_sentinel_drops_nan_cells(self, tmp_path):
+        p = tmp_path / "stack.txt"
+        snaps = [[1.0, 2.0, 3.0, 4.0], [5.0, np.nan, 7.0, 8.0]]
+        write_stack(p, snaps, 2, 2, sentinel=np.nan)
+        series, mask = load_field_stack(p)
+        np.testing.assert_array_equal(mask.kept, [0, 2, 3])
+        np.testing.assert_array_equal(series.samples, [[1.0, 3.0, 4.0], [5.0, 7.0, 8.0]])
+
+    @pytest.mark.parametrize("sentinel, bad", [
+        (-999.0, np.nan), (-999.0, np.inf), (np.nan, -np.inf)])
+    def test_other_non_finite_cell_rejected(self, tmp_path, sentinel, bad):
+        p = tmp_path / "stack.txt"
+        snaps = [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, bad]]
+        write_stack(p, snaps, 2, 2, sentinel=sentinel)
+        with pytest.raises(ValueError, match=f"non-finite value {bad} in snapshot 1, "
+                                             "row 1, column 1"):
+            load_field_stack(p)
+
     def test_sentinel_override(self, tmp_path):
         p = tmp_path / "stack.txt"
         snaps = [[1.0, 0.0, 3.0, 4.0]]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spectrend.data import TimeSeries
 from spectrend.embed import (
     delay_embed,
     ellipse_area,
@@ -11,6 +12,7 @@ from spectrend.embed import (
     suggest_lag,
     write_embedded,
 )
+from spectrend.operator import build_operator
 
 
 class TestDelayEmbed:
@@ -27,7 +29,6 @@ class TestDelayEmbed:
     def test_row_count(self):
         emb = delay_embed(np.arange(100.0), Q=4, ell=7)
         assert emb.n_points == 100 - 3 * 7
-        assert emb.source_length == 100
 
     def test_too_short_error_names_minimum(self):
         with pytest.raises(ValueError, match="21"):
@@ -38,6 +39,12 @@ class TestDelayEmbed:
             delay_embed(np.arange(10.0), Q=0, ell=1)
         with pytest.raises(ValueError):
             delay_embed(np.arange(10.0), Q=2, ell=0)
+
+    def test_non_finite_sample_rejected(self):
+        h = np.sin(np.arange(400.0))
+        h[200] = np.nan
+        with pytest.raises(ValueError, match="1 non-finite sample.*first at index 200"):
+            delay_embed(h, Q=30, ell=2)
 
     def test_shift_consistency(self):
         h = np.sin(0.37 * np.arange(80.0))
@@ -52,7 +59,7 @@ class TestDelayEmbed:
         np.testing.assert_array_equal(emb.points[0], [2, 3, 0, 1])
 
     def test_timestamps_use_newest_sample(self):
-        emb = delay_embed(np.arange(30.0), Q=3, ell=4, dt=0.5, t0=10.0)
+        emb = delay_embed(TimeSeries(np.arange(30.0), dt=0.5, t0=10.0), Q=3, ell=4)
         ts = emb.timestamps()
         assert ts[0] == 10.0 + 8 * 0.5
         assert ts[1] - ts[0] == 0.5
@@ -60,10 +67,16 @@ class TestDelayEmbed:
 
     @pytest.mark.parametrize("count", [None, 5])
     def test_timestamps_match_closed_form(self, count):
-        emb = delay_embed(np.arange(30.0), Q=3, ell=4, dt=0.1, t0=-7.3)
+        emb = delay_embed(TimeSeries(np.arange(30.0), dt=0.1, t0=-7.3), Q=3, ell=4)
         n = emb.n_points if count is None else count
         np.testing.assert_array_equal(emb.timestamps(count),
                                       -7.3 + (4 * (3 - 1) + np.arange(n)) * 0.1)
+
+    def test_operator_row_times_are_the_aligned_source_times(self):
+        ts = TimeSeries(np.sin(0.37 * np.arange(60.0)), dt=0.25, t0=-3.0)
+        emb = delay_embed(ts, 3, 4)
+        op = build_operator(emb, 1, 5)
+        np.testing.assert_array_equal(op.row_times, emb.align(ts.times, op.n))
 
     @pytest.mark.parametrize("count", [None, 0, 5, 13])
     def test_align_scalar_values_is_the_offset_slice(self, count):

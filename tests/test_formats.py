@@ -6,6 +6,7 @@ formatting: negative zero, a subnormal, 1e300 and the ``inf`` period, plus
 the integer index columns, string columns and complex (re, im) rows.
 """
 
+import functools
 import types
 
 import numpy as np
@@ -121,7 +122,8 @@ def test_timeseries(tmp_path, samples, t0, units, expected):
 def test_trajectory_step_column(tmp_path):
     traj = Trajectory(np.zeros((3, 2)), np.array([-0.0, TINY, HUGE]),
                       ModelConfig(kind="F", n_steps=3))
-    assert written(tmp_path, write_trajectory, traj) == (
+    meta = tmp_path / "table.meta.json"
+    assert written(tmp_path, functools.partial(write_trajectory, meta_path=meta), traj) == (
         "# step observation\n"
         "0 -0.00000000000000000e+00\n"
         "1 4.94065645841246544e-324\n"
