@@ -57,6 +57,15 @@ _SCHEMA = {
     "output": {"dir": (_STRING,)},
 }
 
+# source.kind -> the source keys that kind reads; a config that sets any
+# other source key fails validation
+_SOURCE_READS = {
+    "synthetic": {"kind", "model"},
+    "scalar": {"kind", "path", "time_col", "value_col", "header_rows", "t_start", "t_end",
+               "dt", "reverse_time"},
+    "field": {"kind", "path", "sentinel"},
+}
+
 # command line flag -> (config section, key, type, help); section "model" is
 # the source's model, and --config, with no section, names the config file
 _FLAGS = {
@@ -128,6 +137,8 @@ def resolve_config(args) -> dict:
             if name == "source" and "model" in section:
                 section["model"] = {**cfg["source"]["model"], **section["model"]}
             cfg[name].update(section)
+            if name == "source":
+                _run_stage("validate", _check_source_keys, cfg["source"]["kind"], section)
     for flag, (section, key, _type, _help) in _FLAGS.items():
         val = getattr(args, flag, None)
         if section is None or val is None:
@@ -150,6 +161,14 @@ def _check(name, key, val) -> None:
     (kind, test), *_default = _SCHEMA[name][key]
     if not test(val):
         raise ValueError(f"{name}.{key} must be {kind}, got {val!r}")
+
+
+def _check_source_keys(kind, section) -> None:
+    """Reject a source key that the config file sets but ``kind`` does not read."""
+    _check("source", "kind", kind)
+    unread = sorted(section.keys() - _SOURCE_READS[kind])
+    if unread:
+        raise ValueError(f"source.kind {kind!r} does not read source key(s) {unread}")
 
 
 def _validate(cfg) -> None:
@@ -197,8 +216,9 @@ def _write_run_config(cfg) -> None:
 
 def _analyze(args):
     """Resolve, check and echo the config, then run every stage up to the
-    eigenpairs.  Returns (config, series, operator, decomposition, h), where
-    h is the (n, d) observations aligned to the operator's rows."""
+    eigenpairs.  Returns (config, series, decomposition, h, times), where h
+    is the (n, d) observations and times the (n,) times aligned to the
+    operator's n rows."""
     cfg = resolve_config(args)
     _run_stage("validate", _validate, cfg)
     _run_stage("output", _write_run_config, cfg)
@@ -211,7 +231,8 @@ def _analyze(args):
                      cfg["operator"]["step"], cfg["operator"]["knn"])
     modes = min(cfg["operator"]["modes"], opr.n)
     dec = _run_stage("eigendecompose", operator.eigendecompose, opr, modes)
-    return cfg, series, opr, dec, emb.align(series.samples.reshape(len(series), -1), opr.n)
+    h = emb.align(series.samples.reshape(len(series), -1), opr.n)
+    return cfg, series, dec, h, emb.align(series.times, opr.n)
 
 
 def cmd_synth(args) -> int:
@@ -230,7 +251,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg, series, opr, dec, h = _analyze(args)
+    cfg, series, dec, h, times = _analyze(args)
     out_dir = cfg["output"]["dir"]
     reports = _run_stage("classify", spectral.classify_modes, dec, h[:, 0])
     _run_stage("output", operator.write_eigenvalue_table, dec,
@@ -239,14 +260,14 @@ def cmd_analyze(args) -> int:
                os.path.join(out_dir, "periods.txt"))
     _run_stage("output", _table.write_table, os.path.join(out_dir, "modes.txt"),
                ["time " + " ".join(f"mode_{r.index}" for r in reports)],
-               [dec.row_times] + [r.time_series for r in reports])
-    print(f"analyzed {len(series)} samples -> {opr.n} operator rows; "
+               [times] + [r.time_series for r in reports])
+    print(f"analyzed {len(series)} samples -> {len(h)} operator rows; "
           f"tables in {out_dir}")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    cfg, _series, _opr, dec, h = _analyze(args)
+    cfg, _series, dec, h, times = _analyze(args)
     target = h[:, 0] if h.shape[1] == 1 else h
     wanted = cfg["reconstruct"]["indices"]
     closed = _run_stage("closure", spectral.conjugate_closure, dec, wanted)
@@ -255,13 +276,13 @@ def cmd_reconstruct(args) -> int:
         print(f"notice: index set extended with conjugate partner(s) {added}")
     proj = _run_stage("project", spectral.project, dec, closed, target)
     path = os.path.join(cfg["output"]["dir"], "reconstruction.txt")
-    _run_stage("output", spectral.write_projection, proj, path)
+    _run_stage("output", spectral.write_projection, proj, times, path)
     print(f"wrote {path} (modes {','.join(str(i) for i in closed)})")
     return 0
 
 
 def cmd_periods(args) -> int:
-    _cfg, _series, _opr, dec, h = _analyze(args)
+    _cfg, _series, dec, h, _times = _analyze(args)
     reports = _run_stage("classify", spectral.classify_modes, dec, h[:, 0])
     _run_stage("output", spectral.write_mode_table, reports, sys.stdout,
                ["%d", "%.6f", "%.6f", "%.6f", "%.6e", "%s"])

@@ -19,23 +19,27 @@ from typing import Optional
 
 import numpy as np
 
-from ._table import write_table
-
 
 @dataclasses.dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled series; samples is (N,) scalar or (N, d)."""
+    """Uniformly sampled series; samples is (N,) scalar or (N, d).
+
+    Sample j lies at time ``t0 + dt * j``; ``dt`` and ``t0`` are stored as
+    floats, so ``times`` is a float array whatever numbers they were given as.
+    """
 
     samples: np.ndarray
     dt: float = 1.0
     t0: float = 0.0
-    time_unit: str = ""
-    value_unit: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "t0", float(self.t0))
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0!r}")
 
     def __len__(self):
         return self.samples.shape[0]
@@ -114,7 +118,7 @@ def load_scalar_record(path, time_col: int = 0, value_col: int = 1,
 
 
 def interpolate_uniform(record: NonuniformRecord, dt: float,
-                        t_start: float, t_end: float, **units) -> TimeSeries:
+                        t_start: float, t_end: float) -> TimeSeries:
     """Linear interpolation onto t_start, t_start+dt, ..., t_end."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -133,7 +137,7 @@ def interpolate_uniform(record: NonuniformRecord, dt: float,
         count = int(np.floor(n_span))
     grid = t_start + dt * np.arange(count + 1)
     vals = np.interp(grid, record.times, record.values)
-    return TimeSeries(samples=vals, dt=dt, t0=t_start, **units)
+    return TimeSeries(samples=vals, dt=dt, t0=t_start)
 
 
 def reverse_time(series: TimeSeries) -> TimeSeries:
@@ -143,9 +147,7 @@ def reverse_time(series: TimeSeries) -> TimeSeries:
     t = -age, so its last sample (the present) comes last.
     """
     t_end = series.t0 + series.dt * (len(series) - 1)
-    return TimeSeries(samples=series.samples[::-1].copy(), dt=series.dt,
-                      t0=-t_end, time_unit=series.time_unit,
-                      value_unit=series.value_unit)
+    return TimeSeries(samples=series.samples[::-1].copy(), dt=series.dt, t0=-t_end)
 
 
 def benthic_fixture_path():
@@ -160,9 +162,7 @@ def load_benthic_fixture() -> TimeSeries:
     3001 samples; suitable directly for embedding.
     """
     record = load_scalar_record(benthic_fixture_path())
-    series = interpolate_uniform(record, 1.0, 0.0, 3000.0,
-                                 time_unit="kyr", value_unit="permil")
-    return reverse_time(series)
+    return reverse_time(interpolate_uniform(record, 1.0, 0.0, 3000.0))
 
 
 def load_field_stack(path, sentinel: Optional[float] = None):
@@ -176,11 +176,19 @@ def load_field_stack(path, sentinel: Optional[float] = None):
     """
     with open(path) as f:
         header = f.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: header must be 'ny nx sentinel', got {header!r}")
-        ny, nx = int(header[0]), int(header[1])
-        file_sentinel = float(header[2])
-        raw = np.loadtxt(f, ndmin=2)
+        try:
+            if len(header) != 3:
+                raise ValueError
+            ny, nx, file_sentinel = int(header[0]), int(header[1]), float(header[2])
+        except ValueError:
+            raise ValueError(f"{path}: header must be 'ny nx sentinel', got {header!r}") from None
+        if ny < 1 or nx < 1:
+            raise ValueError(f"{path}: header grid must be at least 1x1, got {ny}x{nx}")
+        with warnings.catch_warnings():    # an empty body is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            raw = np.loadtxt(f, ndmin=2)
+    if not raw.size:
+        raise ValueError(f"{path}: no snapshot rows after the header")
     if sentinel is None:
         sentinel = file_sentinel
     if raw.size % (ny * nx) != 0 or raw.shape[1] != nx:
@@ -245,12 +253,4 @@ def anomalies(series: TimeSeries, window: tuple, cycle: int) -> TimeSeries:
     ref, ref_phases = samples[lo:hi], phases[lo:hi]
     for p in range(cycle):
         out[phases == p] -= ref[ref_phases == p].mean(axis=0)
-    return TimeSeries(samples=out, dt=series.dt, t0=series.t0,
-                      time_unit=series.time_unit, value_unit=series.value_unit)
-
-
-def write_timeseries(series: TimeSeries, path) -> None:
-    """Uniform series as delimited text with a metadata header."""
-    write_table(path, [f"dt={series.dt:.17e} t0={series.t0:.17e} time_unit="
-                       f"{series.time_unit or '-'} value_unit={series.value_unit or '-'}"],
-                [series.times, series.samples])
+    return TimeSeries(samples=out, dt=series.dt, t0=series.t0)

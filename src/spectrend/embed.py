@@ -18,24 +18,22 @@ import math
 
 import numpy as np
 
-from ._table import write_table
-
 
 @dataclasses.dataclass(frozen=True)
 class EmbeddedSeries:
-    """Delay-vector matrix plus the metadata needed to align times.
+    """Delay-vector matrix plus the map from its rows to source samples.
 
     Row ``i`` holds ``(h_t, h_{t-ell}, ..., h_{t-(Q-1) ell})`` for
     ``t = offset + i`` (the newest sample stamps the row), flattened
-    snapshot-first when the source is d-dimensional.  ``align`` and
-    ``timestamps`` read other source-indexed arrays at the same samples.
+    snapshot-first when the source is d-dimensional.  ``align`` reads any
+    source-indexed array at the same samples; the rows' times are
+    ``align(series.times)``.  ``dt`` is the source's sampling interval.
     """
 
     points: np.ndarray        # (N, d*Q)
     Q: int
     ell: int
     dt: float = 1.0
-    t0: float = 0.0           # physical time of source sample 0
 
     @property
     def n_points(self) -> int:
@@ -47,16 +45,11 @@ class EmbeddedSeries:
         ``offset + i``."""
         return (self.Q - 1) * self.ell
 
-    def timestamps(self, count=None) -> np.ndarray:
-        """Physical times of the first ``count`` rows (default: all)."""
-        n = self.n_points if count is None else count
-        return self.t0 + (self.offset + np.arange(n)) * self.dt
-
     def align(self, values, count=None) -> np.ndarray:
         """Entries of source-indexed ``values`` at the first ``count`` rows.
 
         ``values`` is indexed like the source series, (N~,) or (N~, d), and
-        may be any per-sample array: observations, masks, ages, targets.
+        may be any per-sample array: observations, times, masks, targets.
         Returns ``values[offset : offset + count]`` (``count`` defaults to
         every row), a view when ``values`` is an ndarray.
         """
@@ -78,8 +71,7 @@ def delay_embed(series, Q: int, ell: int) -> EmbeddedSeries:
     ----------
     series : array or TimeSeries
         Shape (N~,) or (N~, d).  A ``TimeSeries`` (see module data) carries
-        its ``dt`` and ``t0`` into the result; a raw array is sampled at
-        dt = 1 from t0 = 0.
+        its ``dt`` into the result; a raw array is sampled at dt = 1.
     Q : int
         Number of delays (Q=1 keeps the series as is).
     ell : int
@@ -90,9 +82,9 @@ def delay_embed(series, Q: int, ell: int) -> EmbeddedSeries:
     EmbeddedSeries
         N = N~ - (Q-1) ell rows of dimension d*Q.
     """
-    dt, t0 = 1.0, 0.0
+    dt = 1.0
     if hasattr(series, "samples"):
-        dt, t0, series = float(series.dt), float(series.t0), series.samples
+        dt, series = series.dt, series.samples
     # C order, so the delay vectors are too: distances run slower on strided rows
     arr = np.ascontiguousarray(series, dtype=float)
     if arr.ndim == 1:
@@ -112,7 +104,7 @@ def delay_embed(series, Q: int, ell: int) -> EmbeddedSeries:
             f"need at least {base + 1} samples for Q={Q}, ell={ell}")
     cols = [arr[base - q * ell: base - q * ell + n] for q in range(Q)]
     pts = np.hstack(cols)
-    return EmbeddedSeries(points=pts, Q=Q, ell=ell, dt=dt, t0=t0)
+    return EmbeddedSeries(points=pts, Q=Q, ell=ell, dt=dt)
 
 
 def ellipse_curve(beta: float, theta) -> np.ndarray:
@@ -155,9 +147,3 @@ def suggest_lag(alpha_max: float) -> int:
         raise ValueError(f"alpha_max must lie in (0, pi], got {alpha_max!r}")
     ratio = (math.pi / 2.0) / alpha_max
     return max(1, math.ceil(ratio - 0.5))
-
-
-def write_embedded(emb: EmbeddedSeries, path) -> None:
-    """Export the delay-vector matrix with a small metadata header."""
-    write_table(path, [f"Q={emb.Q} ell={emb.ell} dt={emb.dt:.17e} t0={emb.t0:.17e}"],
-                [emb.points])

@@ -53,6 +53,7 @@ from scipy.linalg.blas import dgemm, dgemv
 from scipy.spatial.distance import cdist
 
 from ._table import write_table
+from .embed import EmbeddedSeries
 
 _PAIR_TOL = 1e-10      # an eigenvalue with |Im| at most this is real
 _LR_TOL = 1e-10        # largest |left - right| eigenvalue gap of a usable ARPACK answer
@@ -77,7 +78,6 @@ class MarkovOperator:
     s: int
     dt: float = 1.0
     bandwidths: Optional[np.ndarray] = None    # length N
-    row_times: Optional[np.ndarray] = None     # physical times of rows
 
     @property
     def n(self) -> int:
@@ -110,7 +110,6 @@ class SpectralDecomposition:
     degenerate: tuple = ()
     s: int = 1
     dt: float = 1.0
-    row_times: Optional[np.ndarray] = None
 
     @property
     def n_modes(self) -> int:
@@ -186,13 +185,11 @@ def kernel_matrix(D2, s: int, bandwidths: np.ndarray) -> np.ndarray:
     return S
 
 
-def row_stochastic(S: np.ndarray, s: int = 1, dt: float = 1.0,
-                   bandwidths=None, row_times=None) -> MarkovOperator:
-    """Normalize kernel rows to one, yielding the Markov matrix P.
+def row_stochastic(S: np.ndarray) -> np.ndarray:
+    """Normalize kernel rows to one and return the Markov matrix P.
 
     A C-contiguous float64 ``S`` is normalized in place and becomes P; any
     other input is copied first.  On a NumericalError ``S`` is left unchanged.
-    ``s``, ``dt``, ``bandwidths`` and ``row_times`` pass to the operator as given.
     """
     S = np.ascontiguousarray(S, dtype=float)
     sums = S.sum(axis=1)
@@ -212,12 +209,17 @@ def row_stochastic(S: np.ndarray, s: int = 1, dt: float = 1.0,
         # Entries below eps are negligible against each row's sum of 1, but
         # the many subnormal ones make every matrix product several times slower.
         block[block < np.finfo(float).eps] = 0.0
-    return MarkovOperator(P=S, s=s, dt=dt, bandwidths=bandwidths, row_times=row_times)
+    return S
 
 
-def build_operator(emb, s: int, K: int) -> MarkovOperator:
-    """Convenience: bandwidths + kernel + normalization from embedded data."""
-    pts = np.asarray(getattr(emb, "points", emb))    # cdist rejects anything but 2-d points
+def build_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
+    """Bandwidths + kernel + normalization on an embedded cloud.
+
+    The operator's rows are the first N - s rows of ``emb``; it carries ``s``
+    and ``emb.dt``, which set the unit of eigenperiods.  Row times, or any
+    other per-sample values, are ``emb.align(values, op.n)``.
+    """
+    pts = emb.points
     # P is invariant under scaling by a power of two, which is exact; rescale
     # only a cloud whose squared distances could overflow or underflow
     e = np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1]
@@ -226,9 +228,7 @@ def build_operator(emb, s: int, K: int) -> MarkovOperator:
     D2 = cdist(pts, pts, "sqeuclidean")
     d = knn_bandwidths(D2, K)
     S = kernel_matrix(D2, s, d)
-    dt = getattr(emb, "dt", 1.0)
-    times = emb.timestamps(len(S)) if hasattr(emb, "timestamps") else None
-    return row_stochastic(S, s=s, dt=dt, bandwidths=d, row_times=times)
+    return MarkovOperator(row_stochastic(S), s, emb.dt, bandwidths=d)
 
 
 def _in_mode_order(w: np.ndarray, *vecs):
@@ -371,8 +371,7 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     return SpectralDecomposition(
         eigenvalues=w, right_vectors=vr, dual_vectors=vl, pair_index=pair,
         residuals=residuals, dual_residuals=dual_residuals,
-        degenerate=tuple(np.flatnonzero(degenerate).tolist()), s=op.s, dt=op.dt,
-        row_times=op.row_times)
+        degenerate=tuple(np.flatnonzero(degenerate).tolist()), s=op.s, dt=op.dt)
 
 
 def write_eigenvalue_table(dec: SpectralDecomposition, path) -> None:

@@ -27,7 +27,7 @@ class ModeReport:
     kind: str                     # "constant" | "trend" | "oscillatory"
     period: Optional[float]       # physical units; None for real eigenvalues
     amplitude: float              # |dual^dagger observations|
-    time_series: np.ndarray       # Re v_j aligned to row timestamps
+    time_series: np.ndarray       # Re v_j, one entry per operator row
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,7 +35,6 @@ class Projection:
     indices: tuple                # 1-based, as requested (sorted)
     series: np.ndarray            # same shape as the target
     realness: bool                # True iff index set closed under conjugation
-    row_times: Optional[np.ndarray] = None
 
 
 def eigenperiod(lam: complex, s: int, dt: float = 1.0) -> float:
@@ -123,8 +122,7 @@ def project(dec: SpectralDecomposition, indices, target) -> Projection:
         out = out.real
     if h.ndim == 1:
         out = out[:, 0]
-    return Projection(indices=tuple(idx), series=out, realness=realness,
-                      row_times=dec.row_times)
+    return Projection(indices=tuple(idx), series=out, realness=realness)
 
 
 def affine_scale(mode_series, reference):
@@ -194,11 +192,12 @@ def write_mode_table(reports: Sequence, dest, fmt=None) -> None:
                  [r.amplitude for r in reports], [r.kind for r in reports]], fmt)
 
 
-def write_projection(proj: Projection, path) -> None:
-    """Reconstruction table: time, then one value (or Re, Im pair) per component."""
-    times = proj.row_times
-    if times is None:
-        times = np.arange(len(proj.series), dtype=float)
+def write_projection(proj: Projection, times, path) -> None:
+    """Reconstruction table: time, then one value (or Re, Im pair) per component.
+
+    ``times`` holds one time per row of ``proj.series``, such as
+    ``emb.align(series.times, op.n)``.
+    """
     write_table(path, [f"modes {','.join(str(i) for i in proj.indices)}"
                        f" real={'yes' if proj.realness else 'no'}", "time value..."],
                 [times, proj.series])

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from spectrend.cli import main
-from spectrend.data import benthic_fixture_path
+from spectrend.data import (
+    benthic_fixture_path,
+    interpolate_uniform,
+    load_scalar_record,
+    reverse_time,
+)
+from spectrend.embed import delay_embed
 
 BENTHIC = str(benthic_fixture_path())
 
@@ -372,6 +378,69 @@ class TestAnalyze:
         if code:
             err = capsys.readouterr().err
             assert err.startswith("error [load]") and "snapshot 5, row 1, column 2" in err
+
+    @pytest.mark.parametrize("header, body, message", [
+        ("0 4 -999", "1 2 3 4\n", "header grid must be at least 1x1, got 0x4"),
+        ("2 0 -999", "1 2 3 4\n", "header grid must be at least 1x1, got 2x0"),
+        ("-2 4 -999", "1 2 3 4\n", "header grid must be at least 1x1, got -2x4"),
+        ("2 2 -999", "", "no snapshot rows after the header"),
+        ("2.5 4 -999", "1 2 3 4\n", "header must be 'ny nx sentinel', got ['2.5', '4', '-999']"),
+        ("2 4 none", "1 2 3 4\n", "header must be 'ny nx sentinel', got ['2', '4', 'none']"),
+    ], ids=["zero-rows", "zero-columns", "negative-rows", "header-only", "fractional-rows",
+            "text-sentinel"])
+    def test_malformed_field_stack_exits_2(self, tmp_path, capsys, recwarn, header, body,
+                                           message):
+        stack = tmp_path / "stack.txt"
+        stack.write_text(f"{header}\n{body}")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"kind": "field", "path": str(stack)}}))
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error [load] {stack}: {message}\n"
+        # outside pytest a warning would print to stderr ahead of the error
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("field", "dt", 0.5), ("field", "reverse_time", True), ("field", "t_start", 0),
+        ("synthetic", "dt", 2.0), ("synthetic", "path", "record.txt"),
+        ("scalar", "sentinel", -999.0), ("scalar", "model", {"kind": "F"}),
+    ])
+    def test_source_key_its_kind_does_not_read_exits_2(self, tmp_path, capsys, kind, key,
+                                                       value):
+        field = np.sin(np.arange(120 * 3 * 3) / 5.0).reshape(120 * 3, 3)
+        stack = tmp_path / "stack.txt"
+        with open(stack, "w") as f:
+            f.write("3 3 -999\n")
+            np.savetxt(f, field)
+        source = {"kind": kind, **{"field": {"path": str(stack)}, "scalar": {"path": BENTHIC},
+                                   "synthetic": {"model": {"n_steps": 300}}}[kind], key: value}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": source, "operator": {"knn": 8, "modes": 4}}))
+        out = tmp_path / "o"
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error [validate] source.kind {kind!r} does not read source key(s) [{key!r}]\n")
+        assert not out.exists()
+
+    def test_time_columns_are_the_aligned_source_times(self, tmp_path):
+        # integer dt, t_start and t_end, reversed: row times are floats counted
+        # back from the present, starting at the newest sample of row 0
+        cfg = {"source": {"kind": "scalar", "path": BENTHIC, "dt": 2, "t_start": 10,
+                          "t_end": 2000, "reverse_time": True},
+               "embedding": {"Q": 3, "lag": 5},
+               "operator": {"step": 2, "knn": 7, "modes": 6}}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        series = reverse_time(interpolate_uniform(load_scalar_record(BENTHIC), 2, 10, 2000))
+        emb = delay_embed(series, 3, 5)
+        times = emb.align(series.times, emb.n_points - 2)
+        for argv, table in [(["analyze"], "modes.txt"),
+                            (["reconstruct", "--indices", "2"], "reconstruction.txt")]:
+            out = tmp_path / argv[0]
+            assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 0
+            column = [line.split()[0] for line in (out / table).read_text().splitlines()
+                      if not line.startswith("#")]
+            assert all(re.fullmatch(r"-?\d\.\d{17}e[+-]\d\d", text) for text in column)
+            np.testing.assert_array_equal(np.array(column, dtype=float), times)
 
     def test_benthic_fixture_pipeline(self, tmp_path):
         cfg = {"source": {"kind": "scalar", "path": BENTHIC,

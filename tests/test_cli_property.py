@@ -61,7 +61,9 @@ def configs(draw):
         chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=4))
         cfg[name] = {key: draw(PLAUSIBLE[key] | VALUES if wild else PLAUSIBLE[key])
                      for key in chosen if key != "model"}
-    cfg["source"]["model"] = draw(WILD_MODELS if wild else PLAUSIBLE["model"])
+    # only a synthetic source reads the model; a scalar or field one rejects it
+    if wild or cfg["source"].get("kind", "synthetic") == "synthetic":
+        cfg["source"]["model"] = draw(WILD_MODELS if wild else PLAUSIBLE["model"])
     if wild and draw(st.booleans()):
         name = draw(st.sampled_from(sorted(cfg) + ["bogus"]))
         if name in cfg and draw(st.booleans()):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from spectrend.data import (
     load_scalar_record,
     reverse_time,
     scatter_back,
-    write_timeseries,
 )
 from spectrend.embed import delay_embed
 
@@ -364,13 +365,12 @@ class TestTimeSeries:
         np.testing.assert_allclose(series.times, [2.0, 2.5, 3.0, 3.5])
 
     def test_dt_validation(self):
-        with pytest.raises(ValueError):
-            TimeSeries(samples=np.zeros(4), dt=0.0)
+        for dt, t0, bad in [(0.0, 0.0, "dt"), (math.nan, 0.0, "dt"), (math.inf, 0.0, "dt"),
+                            (1.0, math.nan, "t0"), (1.0, -math.inf, "t0")]:
+            with pytest.raises(ValueError, match=f"{bad} must be"):
+                TimeSeries(samples=np.zeros(4), dt=dt, t0=t0)
 
-    def test_writer_roundtrip(self, tmp_path):
-        series = TimeSeries(samples=np.linspace(0, 1, 7), dt=2.0, t0=-3.0)
-        path = tmp_path / "ts.txt"
-        write_timeseries(series, path)
-        data = np.loadtxt(path)
-        np.testing.assert_allclose(data[:, 0], series.times, atol=1e-15)
-        np.testing.assert_allclose(data[:, 1], series.samples, atol=1e-15)
+    def test_integer_dt_and_t0_give_float_times(self):
+        series = TimeSeries(samples=np.zeros(3), dt=2, t0=10)
+        assert series.times.dtype == np.float64
+        np.testing.assert_array_equal(series.times, [10.0, 12.0, 14.0])

@@ -10,9 +10,7 @@ from spectrend.embed import (
     ellipse_axes,
     ellipse_curve,
     suggest_lag,
-    write_embedded,
 )
-from spectrend.operator import build_operator
 
 
 class TestDelayEmbed:
@@ -58,25 +56,13 @@ class TestDelayEmbed:
         assert emb.points.shape == (5, 4)
         np.testing.assert_array_equal(emb.points[0], [2, 3, 0, 1])
 
-    def test_timestamps_use_newest_sample(self):
-        emb = delay_embed(TimeSeries(np.arange(30.0), dt=0.5, t0=10.0), Q=3, ell=4)
-        ts = emb.timestamps()
-        assert ts[0] == 10.0 + 8 * 0.5
-        assert ts[1] - ts[0] == 0.5
-        assert len(ts) == emb.n_points
-
     @pytest.mark.parametrize("count", [None, 5])
     def test_timestamps_match_closed_form(self, count):
-        emb = delay_embed(TimeSeries(np.arange(30.0), dt=0.1, t0=-7.3), Q=3, ell=4)
+        ts = TimeSeries(np.arange(30.0), dt=0.1, t0=-7.3)
+        emb = delay_embed(ts, Q=3, ell=4)
         n = emb.n_points if count is None else count
-        np.testing.assert_array_equal(emb.timestamps(count),
+        np.testing.assert_array_equal(emb.align(ts.times, count),
                                       -7.3 + (4 * (3 - 1) + np.arange(n)) * 0.1)
-
-    def test_operator_row_times_are_the_aligned_source_times(self):
-        ts = TimeSeries(np.sin(0.37 * np.arange(60.0)), dt=0.25, t0=-3.0)
-        emb = delay_embed(ts, 3, 4)
-        op = build_operator(emb, 1, 5)
-        np.testing.assert_array_equal(op.row_times, emb.align(ts.times, op.n))
 
     @pytest.mark.parametrize("count", [None, 0, 5, 13])
     def test_align_scalar_values_is_the_offset_slice(self, count):
@@ -126,13 +112,6 @@ class TestDelayEmbed:
         proj = span @ np.linalg.pinv(span)
         residue = emb.points.T - proj @ emb.points.T
         assert np.max(np.abs(residue)) < 1e-12
-
-    def test_export_roundtrip(self, tmp_path):
-        emb = delay_embed(np.arange(20.0), Q=2, ell=3)
-        path = tmp_path / "emb.txt"
-        write_embedded(emb, path)
-        loaded = np.loadtxt(path)
-        np.testing.assert_array_equal(loaded, emb.points)
 
 
 class TestEllipseCurve:

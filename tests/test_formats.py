@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from spectrend import cli, operator, spectral
-from spectrend.data import TimeSeries, write_timeseries
-from spectrend.embed import EmbeddedSeries, write_embedded
 from spectrend.models import ModelConfig, Trajectory, write_trajectory
 from spectrend.operator import SpectralDecomposition, write_eigenvalue_table
 from spectrend.spectral import ModeReport, Projection, write_mode_table, write_projection
@@ -30,13 +28,13 @@ REPORTS = [
 ]
 
 
-def decomposition(eigenvalues, residuals, row_times=None):
+def decomposition(eigenvalues, residuals):
     m = len(eigenvalues)
     zeros = np.zeros((2, m), dtype=complex)
     return SpectralDecomposition(
         eigenvalues=np.asarray(eigenvalues, dtype=complex), right_vectors=zeros,
         dual_vectors=zeros, pair_index=np.full(m, -1), residuals=np.asarray(residuals),
-        dual_residuals=np.zeros(m), row_times=row_times)
+        dual_residuals=np.zeros(m))
 
 
 def written(tmp_path, writer, *args):
@@ -75,7 +73,7 @@ def test_mode_table(tmp_path):
 
 def test_real_projection_without_row_times(tmp_path):
     proj = Projection((2, 3), np.array([-0.0, TINY, HUGE]), True)
-    assert written(tmp_path, write_projection, proj) == (
+    assert written(tmp_path, write_projection, proj, np.arange(3.0)) == (
         "# modes 2,3 real=yes\n"
         "# time value...\n"
         "0.00000000000000000e+00 -0.00000000000000000e+00\n"
@@ -85,38 +83,14 @@ def test_real_projection_without_row_times(tmp_path):
 
 def test_complex_field_projection(tmp_path):
     series = np.array([[1 - 0.0j, complex(-0.0, TINY)], [complex(HUGE, -1.0), 0.5j]])
-    proj = Projection((2,), series, False, row_times=np.array([10.0, 11.5]))
-    assert written(tmp_path, write_projection, proj) == (
+    proj = Projection((2,), series, False)
+    assert written(tmp_path, write_projection, proj, np.array([10.0, 11.5])) == (
         "# modes 2 real=no\n"
         "# time value...\n"
         "1.00000000000000000e+01 1.00000000000000000e+00 0.00000000000000000e+00"
         " -0.00000000000000000e+00 4.94065645841246544e-324\n"
         "1.15000000000000000e+01 1.00000000000000005e+300 -1.00000000000000000e+00"
         " 0.00000000000000000e+00 5.00000000000000000e-01\n")
-
-
-def test_embedded(tmp_path):
-    emb = EmbeddedSeries(np.array([[-0.0, TINY], [HUGE, 1.5]]), Q=2, ell=3, dt=0.25, t0=-0.0)
-    assert written(tmp_path, write_embedded, emb) == (
-        "# Q=2 ell=3 dt=2.50000000000000000e-01 t0=-0.00000000000000000e+00\n"
-        "-0.00000000000000000e+00 4.94065645841246544e-324\n"
-        "1.00000000000000005e+300 1.50000000000000000e+00\n")
-
-
-@pytest.mark.parametrize("samples, t0, units, expected", [
-    (np.array([-0.0, TINY, HUGE]), 0.0, {},
-     "# dt=5.00000000000000000e-01 t0=0.00000000000000000e+00 time_unit=- value_unit=-\n"
-     "0.00000000000000000e+00 -0.00000000000000000e+00\n"
-     "5.00000000000000000e-01 4.94065645841246544e-324\n"
-     "1.00000000000000000e+00 1.00000000000000005e+300\n"),
-    (np.array([[-0.0, TINY], [HUGE, 2.0]]), -1.0, {"time_unit": "kyr"},
-     "# dt=5.00000000000000000e-01 t0=-1.00000000000000000e+00 time_unit=kyr value_unit=-\n"
-     "-1.00000000000000000e+00 -0.00000000000000000e+00 4.94065645841246544e-324\n"
-     "-5.00000000000000000e-01 1.00000000000000005e+300 2.00000000000000000e+00\n"),
-])
-def test_timeseries(tmp_path, samples, t0, units, expected):
-    series = TimeSeries(samples, dt=0.5, t0=t0, **units)
-    assert written(tmp_path, write_timeseries, series) == expected
 
 
 def test_trajectory_step_column(tmp_path):
@@ -133,8 +107,7 @@ def test_trajectory_step_column(tmp_path):
 @pytest.fixture
 def stub_pipeline(monkeypatch):
     """CLI runs whose operator, decomposition and mode reports are hand-built."""
-    dec = decomposition([1.0, 0.125j, -0.125j, 0.75], np.zeros(4),
-                        row_times=np.array([-0.0, 2.0, HUGE]))
+    dec = decomposition([1.0, 0.125j, -0.125j, 0.75], np.zeros(4))
     monkeypatch.setattr(operator, "build_operator",
                         lambda emb, s, K, **kw: types.SimpleNamespace(n=3))
     monkeypatch.setattr(operator, "eigendecompose", lambda op, m: dec)
@@ -142,14 +115,15 @@ def stub_pipeline(monkeypatch):
 
 
 def test_cli_modes_table(stub_pipeline, tmp_path):
+    # the rows of the default Q=3, lag=10 embedding start at sample 20
     assert cli.main(["analyze", "--steps", "50", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "modes.txt").read_text() == (
         "# time mode_1 mode_2 mode_4\n"
-        "-0.00000000000000000e+00 -0.00000000000000000e+00 1.00000000000000000e+00"
+        "2.00000000000000000e+01 -0.00000000000000000e+00 1.00000000000000000e+00"
         " 1.00000000000000006e-01\n"
-        "2.00000000000000000e+00 4.94065645841246544e-324 -2.50000000000000000e+00"
+        "2.10000000000000000e+01 4.94065645841246544e-324 -2.50000000000000000e+00"
         " 2.00000000000000011e-01\n"
-        "1.00000000000000005e+300 1.00000000000000005e+300 3.00000000000000000e+00"
+        "2.20000000000000000e+01 1.00000000000000005e+300 3.00000000000000000e+00"
         " -2.99999999999999989e-01\n")
 
 

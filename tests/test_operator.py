@@ -151,20 +151,20 @@ class TestKernelMatrix:
             return cdist(*args, **kwargs)
 
         monkeypatch.setattr(spectrend.operator, "cdist", spy)
-        build_operator(random_cloud(60, dim), 1, 5)
+        build_operator(delay_embed(random_cloud(60, dim), 1, 1), 1, 5)
         assert len(calls) == 1
 
 
 class TestRowStochastic:
     def test_small_example(self):
-        op = row_stochastic(np.array([[2.0, 2.0], [1.0, 3.0]]))
-        np.testing.assert_allclose(op.P, [[0.5, 0.5], [0.25, 0.75]])
+        P = row_stochastic(np.array([[2.0, 2.0], [1.0, 3.0]]))
+        np.testing.assert_allclose(P, [[0.5, 0.5], [0.25, 0.75]])
 
     def test_rows_sum_to_one(self):
         S = kernel_matrix(sqdist(random_cloud(50)), 1, np.full(50, 0.5))
-        op = row_stochastic(S)
-        np.testing.assert_allclose(op.P.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(op.P >= 0)
+        P = row_stochastic(S)
+        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(P >= 0)
 
     def test_zero_row_rejected(self):
         with pytest.raises(NumericalError, match="row 1"):
@@ -176,7 +176,7 @@ class TestRowStochastic:
 
     def test_leading_eigenvalue_one_constant_vector(self):
         S = kernel_matrix(sqdist(random_cloud(50, seed=5)), 1, np.full(50, 0.5))
-        dec = eigendecompose(row_stochastic(S), 5)
+        dec = eigendecompose(MarkovOperator(row_stochastic(S), 1), 5)
         assert abs(dec.eigenvalues[0] - 1.0) < 1e-10
         v1 = dec.right_vectors[:, 0]
         assert np.max(np.abs(v1 - v1.mean())) < 1e-10
@@ -231,7 +231,7 @@ class TestEigendecompose:
     def test_numerically_real_pair_gets_real_basis(self, m):
         # LAPACK returns part of this operator's 15-fold eigenvalue 0 as
         # conjugate pairs with 0 < |Im| < 1e-16
-        op = build_operator(np.repeat([0, 1 / 1024, -1 / 1024], 6)[:, None], 0, 6)
+        op = build_operator(delay_embed(np.repeat([0, 1 / 1024, -1 / 1024], 6), 1, 1), 0, 6)
         dec = eigendecompose(op, m)
         real = np.flatnonzero(dec.pair_index < 0)
         np.testing.assert_array_equal(dec.right_vectors[:, real].imag, 0.0)
@@ -253,18 +253,18 @@ class TestEigendecompose:
     def test_residuals_small_on_random_operator(self):
         pts = random_cloud(80, seed=7)
         S = kernel_matrix(sqdist(pts), 1, knn_bandwidths(sqdist(pts), 6))
-        dec = eigendecompose(row_stochastic(S), 10)
+        dec = eigendecompose(MarkovOperator(row_stochastic(S), 1), 10)
         assert np.all(dec.residuals < 1e-8)
         assert np.all(dec.dual_residuals < 1e-8)
 
     def test_spectral_radius_bounded(self):
         S = kernel_matrix(sqdist(random_cloud(60, seed=8)), 2, np.full(60, 0.4))
-        dec = eigendecompose(row_stochastic(S, s=2))
+        dec = eigendecompose(MarkovOperator(row_stochastic(S), 2))
         assert np.all(np.abs(dec.eigenvalues) <= 1.0 + 1e-8)
 
     def test_spectrum_closed_under_conjugation(self):
         S = kernel_matrix(sqdist(random_cloud(60, seed=9)), 1, np.full(60, 0.3))
-        dec = eigendecompose(row_stochastic(S), 15)
+        dec = eigendecompose(MarkovOperator(row_stochastic(S), 1), 15)
         for j in range(dec.n_modes):
             lam = dec.eigenvalues[j]
             if abs(lam.imag) > 1e-10:
@@ -275,13 +275,13 @@ class TestEigendecompose:
     def test_pairs_match_reference_loop(self):
         for seed in range(12, 17):
             S = kernel_matrix(sqdist(random_cloud(60, seed=seed)), 1, np.full(60, 0.3))
-            dec = eigendecompose(row_stochastic(S), 15)
+            dec = eigendecompose(MarkovOperator(row_stochastic(S), 1), 15)
             assert np.any(dec.pair_index >= 0)
             np.testing.assert_array_equal(dec.pair_index, reference_pairs(dec.eigenvalues))
 
     def test_biorthogonality(self):
         S = kernel_matrix(sqdist(random_cloud(70, seed=10)), 1, np.full(70, 0.3))
-        dec = eigendecompose(row_stochastic(S), 8)
+        dec = eigendecompose(MarkovOperator(row_stochastic(S), 1), 8)
         assert not dec.degenerate
         G = dec.dual_vectors.conj().T @ dec.right_vectors
         np.testing.assert_allclose(np.diag(G), 1.0, atol=1e-10)
@@ -292,7 +292,7 @@ class TestEigendecompose:
         # production path vs plain dense eigenvalue call, compared as
         # sorted moduli
         S = kernel_matrix(sqdist(random_cloud(150, seed=11)), 1, np.full(150, 0.35))
-        op = row_stochastic(S)
+        op = MarkovOperator(row_stochastic(S), 1)
         dec = eigendecompose(op)
         oracle = np.sort(np.abs(np.linalg.eigvals(op.P)))[::-1]
         np.testing.assert_allclose(np.abs(dec.eigenvalues), oracle, atol=1e-8)
@@ -339,7 +339,8 @@ class TestKrylovPath:
     @staticmethod
     def kernel_operator(seed):
         pts = random_cloud(301, 3, seed=seed)
-        return row_stochastic(kernel_matrix(sqdist(pts), 1, knn_bandwidths(sqdist(pts), 8)))
+        return MarkovOperator(
+            row_stochastic(kernel_matrix(sqdist(pts), 1, knn_bandwidths(sqdist(pts), 8))), 1)
 
     @staticmethod
     def assert_matches_dense(dec, op):
@@ -495,7 +496,7 @@ class TestKrylovPath:
         eps = np.finfo(float).eps
         raw = S / S.sum(axis=1)[:, None]
         assert np.any((raw > 0) & (raw < eps))
-        P = row_stochastic(S).P
+        P = row_stochastic(S)
         assert not np.any((P > 0) & (P < eps))
         kept = raw >= eps
         np.testing.assert_array_equal(P[kept], raw[kept])
@@ -530,22 +531,22 @@ class TestRowBlockedBuild:
         np.testing.assert_array_equal(d, d_ref)
         S = kernel_matrix(D2, s, d)
         np.testing.assert_array_equal(S, S_ref)
-        op = row_stochastic(S, s=s)
-        assert op.P is S and op.P.flags.c_contiguous
-        np.testing.assert_array_equal(op.P, P_ref)
-        np.testing.assert_array_equal(build_operator(pts, s, 5).P, P_ref)
+        P = row_stochastic(S)
+        assert P is S and P.flags.c_contiguous
+        np.testing.assert_array_equal(P, P_ref)
+        np.testing.assert_array_equal(build_operator(delay_embed(pts, 1, 1), s, 5).P, P_ref)
 
     def test_build_holds_one_distance_matrix(self):
         # NumPy reports its buffers to tracemalloc; the cdist output is the
         # one N x N array, every other temporary is a block of rows
-        pts = random_cloud(1200, 3, seed=23)
+        emb = delay_embed(random_cloud(1200, 3, seed=23), 1, 1)
         tracemalloc.start()
         try:
-            build_operator(pts, 1, 10)
+            build_operator(emb, 1, 10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * len(pts) ** 2 * 8
+        assert peak <= 1.5 * emb.n_points ** 2 * 8
 
     def test_failed_normalization_leaves_kernel_unchanged(self):
         S = np.array([[1.0, 1.0], [0.0, 0.0]])

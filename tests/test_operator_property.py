@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spectrend.embed import delay_embed
 from spectrend.operator import _PAIR_TOL, NumericalError, build_operator, eigendecompose
 from spectrend.spectral import conjugate_closure, project
 
@@ -26,7 +27,7 @@ EPS = np.finfo(float).eps
 
 def operator_or_skip(pts, s, K):
     try:
-        return build_operator(pts, s, K)
+        return build_operator(delay_embed(pts, 1, 1), s, K)
     except NumericalError:    # coincident or isolated points
         assume(False)
 
@@ -43,7 +44,7 @@ def test_markov_matrix_is_nonnegative_and_row_stochastic(pts, s, K):
 @given(pts=CLOUDS, s=st.integers(0, 2), K=st.integers(1, 6), k=st.integers(-700, 700))
 def test_power_of_two_scaling_changes_nothing(pts, s, K, k):
     op = operator_or_skip(pts, s, K)
-    scaled = build_operator(np.ldexp(pts, k), s, K)
+    scaled = build_operator(delay_embed(np.ldexp(pts, k), 1, 1), s, K)
     np.testing.assert_array_equal(scaled.P, op.P)
     m = min(6, op.n)
     np.testing.assert_array_equal(eigendecompose(scaled, m).eigenvalues,

@@ -31,7 +31,7 @@ from spectrend.spectral import (
 def random_dec():
     pts = np.random.default_rng(12).random((70, 3))
     S = kernel_matrix(cdist(pts, pts, "sqeuclidean"), 1, np.full(70, 0.3))
-    return eigendecompose(row_stochastic(S), 9)
+    return eigendecompose(MarkovOperator(row_stochastic(S), 1), 9)
 
 
 @pytest.fixture(scope="module")
@@ -329,13 +329,13 @@ class TestReportWriters:
         target = np.random.default_rng(9).standard_normal(n)
         closed = project(random_dec, conjugate_closure(random_dec, [2]), target)
         p1 = tmp_path / "closed.txt"
-        write_projection(closed, p1)
+        write_projection(closed, np.arange(n), p1)
         data = np.loadtxt(p1)
         assert data.shape == (n, 2)
         np.testing.assert_allclose(data[:, 1], closed.series, atol=1e-15)
         j = next(j for j in range(random_dec.n_modes) if random_dec.pair_index[j] >= 0)
         open_proj = project(random_dec, [j + 1], target)
         p2 = tmp_path / "open.txt"
-        write_projection(open_proj, p2)
+        write_projection(open_proj, np.arange(n), p2)
         data = np.loadtxt(p2)
         assert data.shape == (n, 3)  # time, re, im
