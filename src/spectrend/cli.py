@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -105,7 +106,10 @@ def _run_stage(stage, fn, /, *args, **kwargs):
 
 def load_config(path) -> dict:
     with open(path) as f:
-        cfg = json.load(f)
+        try:
+            cfg = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config root must be a JSON object")
     for name, section in cfg.items():
@@ -116,9 +120,8 @@ def load_config(path) -> dict:
         unknown = section.keys() - _SCHEMA[name].keys()
         if unknown:
             raise ValueError(f"{path}: unknown keys {sorted(unknown)} in config section {name!r}")
-    if not isinstance(cfg.get("source", {}).get("model", {}), dict):
-        raise ValueError(f"{path}: source model must be a JSON object such as "
-                         '{"kind": "F", "n_steps": 2000, "seed": 11}')
+    if "model" in cfg.get("source", {}):    # checked here, as it merges over the default
+        _check("source", "model", cfg["source"]["model"])
     return cfg
 
 
@@ -174,23 +177,37 @@ def _check_source_keys(kind, section) -> None:
 def _validate(cfg) -> None:
     for name, keys in _SCHEMA.items():
         for key in keys:
-            # the anomaly is checked where it is applied, under its own stage
-            if key in cfg[name] and key != "anomaly":
+            if key in cfg[name]:
                 _check(name, key, cfg[name][key])
     src = cfg["source"]
     if src["kind"] != "synthetic" and not os.path.exists(src.get("path", "")):
         raise ValueError(f"source path does not exist: {src.get('path')!r}")
 
 
-def _simulate(cfg) -> models.Trajectory:
-    config = _run_stage("model-config", models.ModelConfig, **cfg["source"]["model"])
-    return _run_stage("simulate", models.simulate, config)
+def _model_config(params) -> models.ModelConfig:
+    names = [field.name for field in dataclasses.fields(models.ModelConfig)]
+    unknown = sorted(params.keys() - set(names))
+    if unknown:
+        raise ValueError(f"unknown model parameter {unknown[0]!r}; "
+                         f"valid names are {', '.join(names)}")
+    return models.ModelConfig(**params)
 
 
-def _load_source(cfg) -> data.TimeSeries:
+def _configure(args):
+    """Resolve and judge the whole config before any input is read or output
+    written.  Returns it with the synthetic source's ``ModelConfig``, or None."""
+    cfg = resolve_config(args)
+    _run_stage("validate", _validate, cfg)
+    model = None
+    if cfg["source"]["kind"] == "synthetic":
+        model = _run_stage("model-config", _model_config, cfg["source"]["model"])
+    return cfg, model
+
+
+def _load_source(cfg, model) -> data.TimeSeries:
     src = cfg["source"]    # a reader option the config leaves out keeps its default
-    if src["kind"] == "synthetic":
-        return data.TimeSeries(samples=_simulate(cfg).observations)
+    if model is not None:
+        return data.TimeSeries(samples=_run_stage("simulate", models.simulate, model).observations)
     if src["kind"] == "field":
         series, _mask = _run_stage("load", data.load_field_stack, src["path"],
                                    **{k: src[k] for k in ("sentinel",) if k in src})
@@ -200,11 +217,6 @@ def _load_source(cfg) -> data.TimeSeries:
     series = _run_stage("interpolate", data.interpolate_uniform, record, src.get("dt", 1.0),
                         src.get("t_start", record.times[0]), src.get("t_end", record.times[-1]))
     return data.reverse_time(series) if src.get("reverse_time") else series
-
-
-def _anomalies(series, anom) -> data.TimeSeries:
-    _check("preprocess", "anomaly", anom)
-    return data.anomalies(series, tuple(anom["window"]), anom["cycle"])
 
 
 def _write_run_config(cfg) -> None:
@@ -219,12 +231,13 @@ def _analyze(args):
     eigenpairs.  Returns (config, series, decomposition, h, times), where h
     is the (n, d) observations and times the (n,) times aligned to the
     operator's n rows."""
-    cfg = resolve_config(args)
-    _run_stage("validate", _validate, cfg)
+    cfg, model = _configure(args)
     _run_stage("output", _write_run_config, cfg)
-    series = _load_source(cfg)
+    series = _load_source(cfg, model)
     if "anomaly" in cfg["preprocess"]:
-        series = _run_stage("anomalies", _anomalies, series, cfg["preprocess"]["anomaly"])
+        anom = cfg["preprocess"]["anomaly"]
+        series = _run_stage("anomalies", data.anomalies, series, tuple(anom["window"]),
+                            anom["cycle"])
     emb = _run_stage("embed", embed.delay_embed, series,
                      cfg["embedding"]["Q"], cfg["embedding"]["lag"])
     opr = _run_stage("operator", operator.build_operator, emb,
@@ -236,11 +249,10 @@ def _analyze(args):
 
 
 def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
-    if cfg["source"]["kind"] != "synthetic":
+    cfg, model = _configure(args)
+    if model is None:
         raise StageError("synth", ValueError("synth requires a synthetic source"), 2)
-    _run_stage("validate", _validate, cfg)
-    traj = _simulate(cfg)
+    traj = _run_stage("simulate", models.simulate, model)
     out_dir = cfg["output"]["dir"]
     _run_stage("output", os.makedirs, out_dir, exist_ok=True)
     series_path = os.path.join(out_dir, "series.txt")

@@ -97,7 +97,12 @@ def load_scalar_record(path, time_col: int = 0, value_col: int = 1,
             parts = text.split()
             try:
                 t, v = float(parts[time_col]), float(parts[value_col])
-            except (ValueError, IndexError) as exc:
+            except IndexError:
+                name, col = (("value_col", value_col) if -len(parts) <= time_col < len(parts)
+                             else ("time_col", time_col))
+                raise ValueError(f"{path}: line {lineno} has {len(parts)} column(s), so no "
+                                 f"{name} {col} (counting from 0): {text!r}") from None
+            except ValueError as exc:
                 raise ValueError(f"{path}: parse error at line {lineno}: {text!r}") from exc
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise ValueError(f"{path}: non-finite time or value at line {lineno}: {text!r}")
@@ -112,7 +117,7 @@ def load_scalar_record(path, time_col: int = 0, value_col: int = 1,
         order = np.argsort(t, kind="stable")
         t, v = t[order], v[order]
     if np.any(np.diff(t) == 0):
-        dup = t[np.flatnonzero(np.diff(t) == 0)[0]]
+        dup = float(t[np.flatnonzero(np.diff(t) == 0)[0]])
         raise ValueError(f"{path}: duplicate time {dup!r} after sorting")
     return NonuniformRecord(times=t, values=v)
 
@@ -120,6 +125,7 @@ def load_scalar_record(path, time_col: int = 0, value_col: int = 1,
 def interpolate_uniform(record: NonuniformRecord, dt: float,
                         t_start: float, t_end: float) -> TimeSeries:
     """Linear interpolation onto t_start, t_start+dt, ..., t_end."""
+    dt, t_start, t_end = float(dt), float(t_start), float(t_end)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     if t_end < t_start:

@@ -25,25 +25,19 @@ class EmbeddedSeries:
 
     Row ``i`` holds ``(h_t, h_{t-ell}, ..., h_{t-(Q-1) ell})`` for
     ``t = offset + i`` (the newest sample stamps the row), flattened
-    snapshot-first when the source is d-dimensional.  ``align`` reads any
-    source-indexed array at the same samples; the rows' times are
-    ``align(series.times)``.  ``dt`` is the source's sampling interval.
+    snapshot-first when the source is d-dimensional; ``delay_embed`` sets
+    ``offset = (Q-1) ell``.  ``align`` reads any source-indexed array at the
+    same samples; the rows' times are ``align(series.times)``.  ``dt`` is the
+    source's sampling interval.
     """
 
     points: np.ndarray        # (N, d*Q)
-    Q: int
-    ell: int
-    dt: float = 1.0
+    offset: int               # source index of row 0's newest sample
+    dt: float
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def offset(self) -> int:
-        """Source index of row 0's newest sample: row ``i`` is stamped by sample
-        ``offset + i``."""
-        return (self.Q - 1) * self.ell
 
     def align(self, values, count=None) -> np.ndarray:
         """Entries of source-indexed ``values`` at the first ``count`` rows.
@@ -104,7 +98,7 @@ def delay_embed(series, Q: int, ell: int) -> EmbeddedSeries:
             f"need at least {base + 1} samples for Q={Q}, ell={ell}")
     cols = [arr[base - q * ell: base - q * ell + n] for q in range(Q)]
     pts = np.hstack(cols)
-    return EmbeddedSeries(points=pts, Q=Q, ell=ell, dt=dt)
+    return EmbeddedSeries(points=pts, offset=base, dt=dt)
 
 
 def ellipse_curve(beta: float, theta) -> np.ndarray:

@@ -74,10 +74,13 @@ class NumericalError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class MarkovOperator:
+    """Row-stochastic P on the first N - s rows of an ``EmbeddedSeries`` emb;
+    ``emb.align(values, op.n)`` reads any source-indexed array at P's rows, and
+    ``s`` and the source's sampling interval ``dt`` set the unit of eigenperiods."""
+
     P: np.ndarray                 # (N-s, N-s) row stochastic
     s: int
     dt: float = 1.0
-    bandwidths: Optional[np.ndarray] = None    # length N
 
     @property
     def n(self) -> int:
@@ -228,7 +231,7 @@ def build_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
     D2 = cdist(pts, pts, "sqeuclidean")
     d = knn_bandwidths(D2, K)
     S = kernel_matrix(D2, s, d)
-    return MarkovOperator(row_stochastic(S), s, emb.dt, bandwidths=d)
+    return MarkovOperator(row_stochastic(S), s, emb.dt)
 
 
 def _in_mode_order(w: np.ndarray, *vecs):

@@ -46,7 +46,7 @@ def eigenperiod(lam: complex, s: int, dt: float = 1.0) -> float:
     reported as such.
     """
     if abs(np.imag(lam)) <= _PAIR_TOL:
-        raise ValueError(f"eigenvalue {lam!r} is real; period undefined (infinite)")
+        raise ValueError(f"eigenvalue {complex(lam)} is real; period undefined (infinite)")
     return 2.0 * math.pi * s * dt / abs(np.angle(lam))
 
 

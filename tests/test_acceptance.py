@@ -62,10 +62,7 @@ def moving_average(values, window):
 
 def rows_of(traj, emb, n_rows):
     """Observation series and fast-regime mask aligned to operator rows."""
-    base = (emb.Q - 1) * emb.ell
-    h = traj.observations[base:base + n_rows]
-    fast = regime_mask(traj)[base:base + n_rows]
-    return h, fast
+    return emb.align(traj.observations, n_rows), emb.align(regime_mask(traj), n_rows)
 
 
 def test_criterion_1_ellipse_geometry(capsys):
@@ -188,7 +185,7 @@ def test_criterion_5_drift_trend_recovery(capsys):
         op = build_operator(emb, 1, 15)
         dec = eigendecompose(op, 8)
         jt, mode = trend_mode(dec)
-        truth = traj.x[(emb.Q - 1) * emb.ell:][:op.n]
+        truth = emb.align(traj.x, op.n)
         _, _, scaled = affine_scale(mode, truth)
         r_lin = np.corrcoef(scaled, truth)[0, 1]
         lam_lin = dec.eigenvalues[jt - 1].real
@@ -199,7 +196,7 @@ def test_criterion_5_drift_trend_recovery(capsys):
         op = build_operator(emb, 1, 15)
         dec = eigendecompose(op, 8)
         jt, mode = trend_mode(dec)
-        truth = traj.x[(emb.Q - 1) * emb.ell:][:op.n]
+        truth = emb.align(traj.x, op.n)
         _, _, scaled = affine_scale(mode, truth)
         r_quad = np.corrcoef(scaled, truth)[0, 1]
 
@@ -209,7 +206,7 @@ def test_criterion_5_drift_trend_recovery(capsys):
         op = build_operator(emb, 1, 15)
         dec = eigendecompose(op, 8)
         jt, mode = trend_mode(dec)
-        truth = 1.0 + traj.x[(emb.Q - 1) * emb.ell:][:op.n]
+        truth = 1.0 + emb.align(traj.x, op.n)
         _, _, scaled = affine_scale(mode, truth)
         r_amp = np.corrcoef(scaled, truth)[0, 1]
         j_pair = nearest_pair(dec, 2.0 * np.pi / 0.1)
@@ -245,13 +242,12 @@ def test_criterion_6_isotope_stack_reproduction(capsys):
         assert abs(p100 - 98.64) <= 3.0
         assert abs(p41 - 40.78) <= 2.0
 
-        base = (emb.Q - 1) * emb.ell
-        h = series.samples[base:base + op.n]
+        h = emb.align(series.samples, op.n)
         jt, mode = trend_mode(dec)
         r_trend = np.corrcoef(mode, moving_average(h, 300))[0, 1]
         assert r_trend > 0.9
 
-        ages = -series.times[base:base + op.n]  # kyr before present
+        ages = -emb.align(series.times, op.n)  # kyr before present
         pr100 = project(dec, conjugate_closure(dec, [j100]), h).series
         pr41 = project(dec, conjugate_closure(dec, [j41]), h).series
         loc100 = regime_localization(pr100, ages <= 1500.0)
@@ -294,8 +290,7 @@ def test_criterion_7_field_ingestion_substitute(capsys):
         emb = delay_embed(series, Q=2, ell=3)
         op = build_operator(emb, 1, 8)
         dec = eigendecompose(op, 10)
-        base = (emb.Q - 1) * emb.ell
-        target = series.samples[base:base + op.n]
+        target = emb.align(series.samples, op.n)
         idx = conjugate_closure(dec, range(1, dec.n_modes + 1))
         proj = project(dec, idx, target)
         assert proj.realness

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from spectrend import models
 from spectrend.cli import main
 from spectrend.data import (
     benthic_fixture_path,
@@ -123,6 +124,15 @@ def test_output_dir_below_a_file_exits_2(tmp_path, capsys, command):
     code = main([command, "--model", "F", "--steps", "300", "--out", str(blocker / "sub")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error [output]")
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze", "reconstruct", "periods"])
+def test_bad_model_parameter_exits_before_any_output(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([command, "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error [model-config] seed must be a nonnegative integer, got -1")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, table", [("synth", "series.txt"),
@@ -303,14 +313,29 @@ class TestAnalyze:
         {"window": [0, 120], "cycle": 12.7}, {"window": [0, 120.5], "cycle": 12},
         {"window": [0, 120], "cycle": True}, {"window": [0, 120], "cycle": 12, "phase": 3},
     ])
-    def test_incomplete_anomaly_config_exits_2(self, tmp_path, capsys, anomaly):
+    def test_incomplete_anomaly_config_exits_2(self, tmp_path, capsys, monkeypatch, anomaly):
+        def no_source(*args, **kwargs):
+            raise AssertionError("the source was read")
+
+        monkeypatch.setattr(models, "simulate", no_source)
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"preprocess": {"anomaly": anomaly}}))
         code = main(["analyze", "--steps", "300", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error [anomalies]") and "window" in err
+        assert err.startswith("error [validate] preprocess.anomaly") and "window" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_anomaly_window_outside_series_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"preprocess": {"anomaly": {"window": [0, 400],
+                                                                   "cycle": 12}}}))
+        code = main(["analyze", "--steps", "300", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error [anomalies] window (0, 400) outside series of length 300")
 
     def test_anomaly_preprocess(self, tmp_path):
         anomaly = {"window": [0, 120], "cycle": 12}
@@ -329,6 +354,24 @@ class TestAnalyze:
         cfg_path.write_text(json.dumps({"output": {"dir": False}}))
         assert main(["analyze", "--steps", "300", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error [validate] output.dir")
+
+    def test_json_syntax_error_names_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text("{bad}")
+        code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error [config] {cfg_path}: Expecting property name enclosed in double quotes")
+
+    def test_unknown_model_parameter_is_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"model": {"kind": "F", "bogus": 1}}}))
+        code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [model-config] unknown model parameter 'bogus'; "
+                              "valid names are kind, n_steps, alpha,")
+        assert not (tmp_path / "o").exists()
 
     def test_bool_step_count_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

@@ -66,8 +66,16 @@ class TestLoadScalarRecord:
     def test_duplicate_times_rejected(self, tmp_path):
         p = tmp_path / "rec.txt"
         write_lines(p, ["0 3.2", "1 3.3", "1 3.4"])
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=r"duplicate time 1\.0 after sorting"):
             load_scalar_record(p)
+
+    @pytest.mark.parametrize("cols, named", [({"value_col": 4}, "value_col 4"),
+                                             ({"time_col": 2}, "time_col 2")])
+    def test_missing_column_is_named(self, tmp_path, cols, named):
+        p = tmp_path / "rec.txt"
+        write_lines(p, ["0 3.2", "1 3.3"])
+        with pytest.raises(ValueError, match=f"line 1 has 2 column\\(s\\), so no {named} "):
+            load_scalar_record(p, **cols)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "rec.txt"
@@ -141,6 +149,9 @@ class TestInterpolateUniform:
         rec = NonuniformRecord(times=[0.0, 1000.0], values=[0.0, 2.0])
         with pytest.raises(ValueError, match="t_end=100.0 lies before t_start=500.0"):
             interpolate_uniform(rec, 1.0, 500.0, 100.0)
+        # a bound read off the record is a NumPy scalar; it prints as a number
+        with pytest.raises(ValueError, match=r"^t_end=1000\.0 lies before t_start=1e\+300$"):
+            interpolate_uniform(rec, 1.0, 1e300, rec.times[-1])
         assert len(interpolate_uniform(rec, 1.0, 500.0, 500.0)) == 1
 
     def test_oversized_grid_rejected_before_allocating(self, monkeypatch):

@@ -70,6 +70,7 @@ class TestDelayEmbed:
         emb = delay_embed(h, Q=3, ell=4)
         n = emb.n_points if count is None else count
         got = emb.align(h, count)
+        assert emb.offset == 8
         np.testing.assert_array_equal(got, h[8:8 + n])
         assert got.base is h
         # row i's newest delay coordinate is the aligned value

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import re
+import shlex
 
 import numpy as np
 
@@ -32,6 +33,16 @@ def test_config_examples_run(tmp_path, monkeypatch):
     (tmp_path / "scalar.json").write_text(json.dumps(scalar_cfg))
     assert cli.main(["analyze", "--config", "scalar.json", "--out", "scalar"]) == 0
     assert (tmp_path / "scalar" / "periods.txt").exists()
+
+
+def test_command_lines_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+    lines = [line for block in code_blocks("sh") for line in block.splitlines()
+             if line.startswith("spectrend ")]
+    assert len(lines) == 4
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
 
 
 def test_config_table_lists_every_schema_key():
