@@ -120,8 +120,6 @@ def load_config(path) -> dict:
         unknown = section.keys() - _SCHEMA[name].keys()
         if unknown:
             raise ValueError(f"{path}: unknown keys {sorted(unknown)} in config section {name!r}")
-    if "model" in cfg.get("source", {}):    # checked here, as it merges over the default
-        _check("source", "model", cfg["source"]["model"])
     return cfg
 
 
@@ -132,56 +130,21 @@ def _parse_indices(text) -> list:
         raise ValueError(f"--indices must be comma-separated integers, got {text!r}") from None
 
 
-def resolve_config(args) -> dict:
-    cfg = {name: {key: copy.deepcopy(spec[1]) for key, spec in keys.items() if len(spec) > 1}
-           for name, keys in _SCHEMA.items()}
-    if getattr(args, "config", None):
-        for name, section in _run_stage("config", load_config, args.config).items():
-            if name == "source" and "model" in section:
-                section["model"] = {**cfg["source"]["model"], **section["model"]}
-            cfg[name].update(section)
-            if name == "source":
-                _run_stage("validate", _check_source_keys, cfg["source"]["kind"], section)
-    for flag, (section, key, _type, _help) in _FLAGS.items():
-        val = getattr(args, flag, None)
-        if section is None or val is None:
-            continue
-        if flag == "indices":
-            val = _run_stage("config", _parse_indices, val)
-        if section == "model":
-            if cfg["source"]["kind"] != "synthetic":
-                raise StageError("config", ValueError(
-                    f"--{flag} sets the synthetic model, but source.kind is "
-                    f"{cfg['source']['kind']!r}"), 2)
-            cfg["source"]["model"][key] = val
-        else:
-            cfg[section][key] = val
-    cfg["output"].setdefault("dir", os.environ.get(ENV_OUT) or "spectrend_out")
-    return cfg
-
-
-def _check(name, key, val) -> None:
-    (kind, test), *_default = _SCHEMA[name][key]
-    if not test(val):
-        raise ValueError(f"{name}.{key} must be {kind}, got {val!r}")
-
-
-def _check_source_keys(kind, section) -> None:
-    """Reject a source key that the config file sets but ``kind`` does not read."""
-    _check("source", "kind", kind)
-    unread = sorted(section.keys() - _SOURCE_READS[kind])
-    if unread:
-        raise ValueError(f"source.kind {kind!r} does not read source key(s) {unread}")
-
-
-def _validate(cfg) -> None:
+def _validate(cfg, file_source) -> None:
+    """Judge every value by its kind, then the source keys the config file
+    sets (``file_source``) against those its kind reads, then the path."""
     for name, keys in _SCHEMA.items():
-        for key in keys:
-            if key in cfg[name]:
-                _check(name, key, cfg[name][key])
+        for key, ((kind, test), *_default) in keys.items():
+            if key in cfg[name] and not test(cfg[name][key]):
+                raise ValueError(f"{name}.{key} must be {kind}, got {cfg[name][key]!r}")
     src = cfg["source"]
-    if src["kind"] != "synthetic" and not os.path.exists(src.get("path", "")):
-        raise ValueError(f"source path does not exist: {src.get('path')!r}")
+    unread = sorted(file_source.keys() - _SOURCE_READS[src["kind"]])
+    if unread:
+        raise ValueError(f"source.kind {src['kind']!r} does not read source key(s) {unread}")
+    if src["kind"] != "synthetic" and "path" not in src:
+        raise ValueError(f"source.kind {src['kind']!r} needs source.path")
+    if src["kind"] != "synthetic" and not os.path.exists(src["path"]):
+        raise ValueError(f"source path does not exist: {src['path']!r}")
 
 
 def _model_config(params) -> models.ModelConfig:
@@ -194,10 +157,33 @@ def _model_config(params) -> models.ModelConfig:
 
 
 def _configure(args):
-    """Resolve and judge the whole config before any input is read or output
-    written.  Returns it with the synthetic source's ``ModelConfig``, or None."""
-    cfg = resolve_config(args)
-    _run_stage("validate", _validate, cfg)
+    """Merge the config once (defaults, then the file, then the flags) and
+    judge it once, before any input is read or output written.  Returns it
+    with the synthetic source's ``ModelConfig``, or None."""
+    cfg = {name: {key: copy.deepcopy(spec[1]) for key, spec in keys.items() if len(spec) > 1}
+           for name, keys in _SCHEMA.items()}
+    file_cfg = _run_stage("config", load_config, args.config) if args.config else {}
+    for name, section in file_cfg.items():
+        cfg[name].update(section)
+    model_flags = {}
+    for flag, (section, key, _type, _help) in _FLAGS.items():
+        val = getattr(args, flag, None)
+        if section is None or val is None:
+            continue
+        if flag == "indices":
+            val = _run_stage("config", _parse_indices, val)
+        if section != "model":
+            cfg[section][key] = val
+        elif cfg["source"]["kind"] == "synthetic":
+            model_flags[key] = val
+        else:
+            raise StageError("config", ValueError(
+                f"--{flag} sets the synthetic model, but source.kind is "
+                f"{cfg['source']['kind']!r}"), 2)
+    cfg["output"].setdefault("dir", os.environ.get(ENV_OUT) or "spectrend_out")
+    _run_stage("validate", _validate, cfg, file_cfg.get("source", {}))
+    cfg["source"]["model"] = {**_SCHEMA["source"]["model"][1], **cfg["source"]["model"],
+                              **model_flags}
     model = None
     if cfg["source"]["kind"] == "synthetic":
         model = _run_stage("model-config", _model_config, cfg["source"]["model"])
@@ -280,13 +266,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     cfg, _series, dec, h, times = _analyze(args)
-    target = h[:, 0] if h.shape[1] == 1 else h
     wanted = cfg["reconstruct"]["indices"]
     closed = _run_stage("closure", spectral.conjugate_closure, dec, wanted)
     added = sorted(set(closed) - set(wanted))
     if added:
         print(f"notice: index set extended with conjugate partner(s) {added}")
-    proj = _run_stage("project", spectral.project, dec, closed, target)
+    proj = _run_stage("project", spectral.project, dec, closed, h)
     path = os.path.join(cfg["output"]["dir"], "reconstruction.txt")
     _run_stage("output", spectral.write_projection, proj, times, path)
     print(f"wrote {path} (modes {','.join(str(i) for i in closed)})")

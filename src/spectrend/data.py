@@ -126,6 +126,9 @@ def interpolate_uniform(record: NonuniformRecord, dt: float,
                         t_start: float, t_end: float) -> TimeSeries:
     """Linear interpolation onto t_start, t_start+dt, ..., t_end."""
     dt, t_start, t_end = float(dt), float(t_start), float(t_end)
+    for name, val in (("dt", dt), ("t_start", t_start), ("t_end", t_end)):
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val!r}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     if t_end < t_start:

@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import spectrend
 from spectrend import models
 from spectrend.cli import main
 from spectrend.data import (
@@ -115,6 +119,18 @@ def test_help_lists_each_flag_with_its_text(capsys, monkeypatch, command):
     pairs = [re.fullmatch(r"\s+(--\S+) \S+\s+(.*)", line).groups()
              for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("--")]
     assert pairs == HELP[command]
+
+
+def test_module_entry_point_returns_the_exit_code(tmp_path):
+    src = str(pathlib.Path(spectrend.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "spectrend.cli", "analyze", "--Q", "0",
+                           "--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error [validate] embedding.Q must be a positive integer")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze"])
@@ -284,7 +300,7 @@ class TestAnalyze:
         # the config shape an earlier README showed: model as a bare string
         ({"source": {"kind": "synthetic", "model": "F", "n_steps": 2000, "seed": 11}},
          "[config]"),
-        ({"source": {"model": "F"}}, "[config]"),
+        ({"source": {"model": "F"}}, "[validate]"),
         ({"operator": {"stepz": 3}}, "[config]"),
         ({"operator": {"knn": True}}, "[validate]"),
         ({"embedding": {"Q": True}}, "[validate]"),
@@ -300,6 +316,10 @@ class TestAnalyze:
         ({"source": {"kind": "scalar", "path": BENTHIC, "dt": 1e-12}}, "[interpolate]"),
         ({"source": {"kind": "scalar", "path": BENTHIC, "t_start": 500, "t_end": 100}},
          "[interpolate]"),
+        pytest.param({"source": {"kind": "scalar"}},
+                     "[validate] source.kind 'scalar' needs source.path", id="cfg14-[validate]"),
+        pytest.param({"source": {"kind": "field"}},
+                     "[validate] source.kind 'field' needs source.path", id="cfg15-[validate]"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, cfg, tag):
         cfg_path = tmp_path / "run.json"
@@ -307,6 +327,8 @@ class TestAnalyze:
         code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error {tag}")
+        if tag.startswith(("[config]", "[validate]")):
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("anomaly", [
         {"cycle": 12}, {"window": [0, 120]}, 12,

@@ -144,6 +144,12 @@ class TestInterpolateUniform:
         rec = NonuniformRecord(times=[0.0, 2.0], values=[0.0, 2.0])
         with pytest.raises(ValueError):
             interpolate_uniform(rec, 0.0, 0.0, 2.0)
+        # a non-finite bound is named, not diagnosed as a grid size or support
+        for name, bounds in [("dt", (math.nan, 0.0, 2.0)), ("dt", (math.inf, 0.0, 2.0)),
+                             ("t_start", (1.0, math.nan, 2.0)), ("t_end", (1.0, 0.0, math.nan)),
+                             ("t_start", (1.0, -math.inf, 2.0)), ("t_end", (1.0, 0.0, math.inf))]:
+            with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
+                interpolate_uniform(rec, *bounds)
 
     def test_end_before_start_rejected(self):
         rec = NonuniformRecord(times=[0.0, 1000.0], values=[0.0, 2.0])

@@ -46,6 +46,13 @@ def test_command_lines_run(tmp_path, monkeypatch):
 
 
 def test_config_table_lists_every_schema_key():
-    rows = re.findall(r"^\| `(\w+)\.(\w+)` \|", README, flags=re.M)
-    assert len(rows) == len(set(rows))
-    assert set(rows) == {(name, key) for name, keys in cli._SCHEMA.items() for key in keys}
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| .*? \| (.*?) \| .*? \|$", README, flags=re.M)
+    listed = [(name, key) for name, key, _read_by in rows]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {(name, key) for name, keys in cli._SCHEMA.items() for key in keys}
+    # a source key's "read by" cell names the source kinds that read it
+    for name, key, read_by in rows:
+        if name == "source":
+            kinds = set(cli._SOURCE_READS) if read_by == "every kind" else set(
+                re.findall(r"`(\w+)`", read_by))
+            assert kinds == {kind for kind, reads in cli._SOURCE_READS.items() if key in reads}, key
