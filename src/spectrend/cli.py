@@ -11,7 +11,10 @@ Configuration comes from a JSON file (--config) with sections ``source``,
 ``preprocess``, ``embedding``, ``operator``, ``reconstruct`` and ``output``;
 command line flags override config fields.  Every analysis run writes a
 resolved-config sidecar next to its outputs.  Exit status: 0 on success,
-2 on validation errors, 3 on numerical failures.
+2 on validation errors, 3 on numerical failures.  Every failure prints one
+``error [stage] message`` line to stderr, and ``main`` returns its exit
+status; a command line that argparse rejects is a ``[config]`` failure, and
+only ``--help`` raises ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -67,6 +70,11 @@ _SOURCE_READS = {
     "field": {"kind", "path", "sentinel"},
 }
 
+
+def indices(text) -> list:    # --indices' type; a bad value is an "invalid indices value"
+    return [int(tok) for tok in text.split(",") if tok]
+
+
 # command line flag -> (config section, key, type, help); section "model" is
 # the source's model, and --config, with no section, names the config file
 _FLAGS = {
@@ -82,7 +90,7 @@ _FLAGS = {
     "step": ("operator", "step", int, "operator forward step"),
     "knn": ("operator", "knn", int, "neighbor count for bandwidths"),
     "modes": ("operator", "modes", int, "retained eigenpair count"),
-    "indices": ("reconstruct", "indices", str, "comma-separated 1-based mode indices"),
+    "indices": ("reconstruct", "indices", indices, "comma-separated 1-based mode indices"),
 }
 _COMMON = ("config", "model", "steps", "seed", "out")
 _PIPELINE = _COMMON + ("Q", "lag", "step", "knn", "modes")
@@ -92,6 +100,11 @@ class StageError(Exception):
     def __init__(self, stage, exc, code):
         super().__init__(f"[{stage}] {exc}")
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):    # a rejected command line is a [config] error
+        raise StageError("config", ValueError(message), 2)
 
 
 def _run_stage(stage, fn, /, *args, **kwargs):
@@ -121,13 +134,6 @@ def load_config(path) -> dict:
         if unknown:
             raise ValueError(f"{path}: unknown keys {sorted(unknown)} in config section {name!r}")
     return cfg
-
-
-def _parse_indices(text) -> list:
-    try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise ValueError(f"--indices must be comma-separated integers, got {text!r}") from None
 
 
 def _validate(cfg, file_source) -> None:
@@ -170,8 +176,6 @@ def _configure(args):
         val = getattr(args, flag, None)
         if section is None or val is None:
             continue
-        if flag == "indices":
-            val = _run_stage("config", _parse_indices, val)
         if section != "model":
             cfg[section][key] = val
         elif cfg["source"]["kind"] == "synthetic":
@@ -297,7 +301,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectrend",
         description="trend/cycle extraction via delay embedding and transfer-operator spectra")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -306,9 +310,8 @@ def main(argv=None) -> int:
         for flag in flags:
             p.add_argument(f"--{flag}", type=_FLAGS[flag][2], help=_FLAGS[flag][3])
         p.set_defaults(fn=fn)
-
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)

@@ -36,6 +36,8 @@ class TimeSeries:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "t0", float(self.t0))
+        if self.samples.ndim not in (1, 2):
+            raise ValueError(f"samples must have shape (N,) or (N, d), got {self.samples.shape}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not math.isfinite(self.t0):

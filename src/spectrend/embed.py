@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .data import TimeSeries
+
 
 @dataclasses.dataclass(frozen=True)
 class EmbeddedSeries:
@@ -76,11 +78,10 @@ def delay_embed(series, Q: int, ell: int) -> EmbeddedSeries:
     EmbeddedSeries
         N = N~ - (Q-1) ell rows of dimension d*Q.
     """
-    dt = 1.0
-    if hasattr(series, "samples"):
-        dt, series = series.dt, series.samples
+    if not isinstance(series, TimeSeries):
+        series = TimeSeries(series)    # which also checks the samples' shape
     # C order, so the delay vectors are too: distances run slower on strided rows
-    arr = np.ascontiguousarray(series, dtype=float)
+    arr = np.ascontiguousarray(series.samples)
     if arr.ndim == 1:
         arr = arr[:, None]
     if Q < 1 or ell < 1:
@@ -98,7 +99,7 @@ def delay_embed(series, Q: int, ell: int) -> EmbeddedSeries:
             f"need at least {base + 1} samples for Q={Q}, ell={ell}")
     cols = [arr[base - q * ell: base - q * ell + n] for q in range(Q)]
     pts = np.hstack(cols)
-    return EmbeddedSeries(points=pts, offset=base, dt=dt)
+    return EmbeddedSeries(points=pts, offset=base, dt=series.dt)
 
 
 def ellipse_curve(beta: float, theta) -> np.ndarray:

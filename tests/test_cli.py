@@ -121,6 +121,35 @@ def test_help_lists_each_flag_with_its_text(capsys, monkeypatch, command):
     assert pairs == HELP[command]
 
 
+TYPED_FLAGS = {"--steps", "--seed", "--delta", "--Q", "--lag", "--step", "--knn", "--modes",
+               "--indices"}
+REJECTED_COMMAND_LINES = [
+    pytest.param(command, [flag, bad], (flag, f"'{bad}'"), id=f"{command}{flag}")
+    for command, flags in HELP.items() for flag, _help in flags if flag in TYPED_FLAGS
+    for bad in ["2,x" if flag == "--indices" else "abc"]
+] + [
+    pytest.param("analyze", ["--bogus", "1"], ("--bogus",), id="unknown-flag"),
+    pytest.param("analyze", ["--mod", "F"], ("--mod",), id="ambiguous-flag"),
+    pytest.param("analyze", ["--Q"], ("--Q",), id="flag-without-value"),
+    pytest.param("analyse", [], ("'analyse'",), id="misspelled-command"),
+    pytest.param(None, [], ("command",), id="no-command"),
+]
+
+
+@pytest.mark.parametrize("command, rest, named", REJECTED_COMMAND_LINES)
+def test_rejected_command_line_is_a_config_error(tmp_path, capsys, monkeypatch, command, rest,
+                                                 named):
+    # argparse's own rejections take the stage-error path: one line, exit 2, no output
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SPECTREND_OUT", raising=False)
+    argv = [] if command is None else [command, "--out", "o", *rest]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config] ") and err.count("\n") == 1, err
+    assert all(name in err for name in named), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_module_entry_point_returns_the_exit_code(tmp_path):
     src = str(pathlib.Path(spectrend.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(

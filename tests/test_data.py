@@ -386,6 +386,10 @@ class TestTimeSeries:
                             (1.0, math.nan, "t0"), (1.0, -math.inf, "t0")]:
             with pytest.raises(ValueError, match=f"{bad} must be"):
                 TimeSeries(samples=np.zeros(4), dt=dt, t0=t0)
+        # samples of any rank but 1 and 2 are rejected, naming their shape
+        for samples, shape in [(5.0, r"\(\)"), (np.zeros((10, 2, 2)), r"\(10, 2, 2\)")]:
+            with pytest.raises(ValueError, match=r"shape \(N,\) or \(N, d\), got " + shape):
+                TimeSeries(samples)
 
     def test_integer_dt_and_t0_give_float_times(self):
         series = TimeSeries(samples=np.zeros(3), dt=2, t0=10)

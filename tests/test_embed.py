@@ -37,6 +37,11 @@ class TestDelayEmbed:
             delay_embed(np.arange(10.0), Q=0, ell=1)
         with pytest.raises(ValueError):
             delay_embed(np.arange(10.0), Q=2, ell=0)
+        # a raw array's shape is held to the TimeSeries rule
+        with pytest.raises(ValueError, match=r"\(N,\) or \(N, d\), got \(10, 2, 2\)"):
+            delay_embed(np.zeros((10, 2, 2)), 2, 1)
+        with pytest.raises(ValueError, match=r"\(N,\) or \(N, d\), got \(\)"):
+            delay_embed(5.0, 1, 1)
 
     def test_non_finite_sample_rejected(self):
         h = np.sin(np.arange(400.0))

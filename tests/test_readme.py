@@ -1,5 +1,6 @@
 """The README's examples run as written."""
 
+import ast
 import json
 import pathlib
 import re
@@ -56,3 +57,14 @@ def test_config_table_lists_every_schema_key():
             kinds = set(cli._SOURCE_READS) if read_by == "every kind" else set(
                 re.findall(r"`(\w+)`", read_by))
             assert kinds == {kind for kind, reads in cli._SOURCE_READS.items() if key in reads}, key
+
+
+def test_stage_table_lists_every_stage_tag():
+    # every tag cli.py can print: the first argument of each _run_stage and StageError call
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    tags = {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "_run_stage", "StageError") and isinstance(node.args[0], ast.Constant)}
+    listed = re.findall(r"^\| `([a-z-]+)` \| .*? \|$", README, flags=re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == tags
