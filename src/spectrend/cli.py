@@ -9,12 +9,13 @@ Subcommands:
 
 Configuration comes from a JSON file (--config) with sections ``source``,
 ``preprocess``, ``embedding``, ``operator``, ``reconstruct`` and ``output``;
-command line flags override config fields.  Every analysis run writes a
-resolved-config sidecar next to its outputs.  Exit status: 0 on success,
-2 on validation errors, 3 on numerical failures.  Every failure prints one
-``error [stage] message`` line to stderr, and ``main`` returns its exit
-status; a command line that argparse rejects is a ``[config]`` failure, and
-only ``--help`` raises ``SystemExit``.
+command line flags override config fields; every value, a synthetic
+model's included, is judged under ``[validate]``.  Every analysis run writes
+the resolved config, ``run_config.json``, which as --config replays the run.
+Exit status: 0 on success, 2 on validation errors, 3 on numerical failures.
+Every failure prints one ``error [stage] message`` line to stderr, and
+``main`` returns its exit status; a command line that argparse rejects is a
+``[config]`` failure, and only ``--help`` raises ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -43,12 +44,13 @@ _ANOMALY = ('{"window": [start, stop], "cycle": n}',
             and list(map(type, v["window"])) == [int, int])
 
 # section -> key -> (kind,) or (kind, default).  A key without a default
-# reaches the resolved config only when the config file sets it.
+# reaches the resolved config only when the config file sets it, except a
+# synthetic source's model, which _validate completes.
 _SCHEMA = {
     "source": {
         "kind": (("synthetic|scalar|field", lambda v: v in ("synthetic", "scalar", "field")),
                  "synthetic"),
-        "model": (("a JSON object", lambda v: type(v) is dict), {"kind": "F"}),
+        "model": (("a JSON object", lambda v: type(v) is dict),),
         "path": (_STRING,),
         "time_col": (_NONNEGATIVE,), "value_col": (_NONNEGATIVE,), "header_rows": (_NONNEGATIVE,),
         "t_start": (_NUMBER,), "t_end": (_NUMBER,), "dt": (_NUMBER,), "sentinel": (_NUMBER,),
@@ -136,30 +138,31 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _validate(cfg, file_source) -> None:
-    """Judge every value by its kind, then the source keys the config file
-    sets (``file_source``) against those its kind reads, then the path."""
+def _validate(cfg, model_flags):
+    """Judge every value by its kind, then the source keys against those its
+    kind reads.  A synthetic source's model takes the default kind F and the
+    model flags, and its ``ModelConfig`` is returned; any other source needs
+    an existing path, and None is returned."""
     for name, keys in _SCHEMA.items():
         for key, ((kind, test), *_default) in keys.items():
             if key in cfg[name] and not test(cfg[name][key]):
                 raise ValueError(f"{name}.{key} must be {kind}, got {cfg[name][key]!r}")
     src = cfg["source"]
-    unread = sorted(file_source.keys() - _SOURCE_READS[src["kind"]])
+    unread = sorted(src.keys() - _SOURCE_READS[src["kind"]])
     if unread:
         raise ValueError(f"source.kind {src['kind']!r} does not read source key(s) {unread}")
-    if src["kind"] != "synthetic" and "path" not in src:
+    if src["kind"] == "synthetic":
+        src["model"] = {"kind": "F", **src.get("model", {}), **model_flags}
+        names = [field.name for field in dataclasses.fields(models.ModelConfig)]
+        unknown = sorted(src["model"].keys() - set(names))
+        if unknown:
+            raise ValueError(f"unknown model parameter {unknown[0]!r}; "
+                             f"valid names are {', '.join(names)}")
+        return models.ModelConfig(**src["model"])
+    if "path" not in src:
         raise ValueError(f"source.kind {src['kind']!r} needs source.path")
-    if src["kind"] != "synthetic" and not os.path.exists(src["path"]):
+    if not os.path.exists(src["path"]):
         raise ValueError(f"source path does not exist: {src['path']!r}")
-
-
-def _model_config(params) -> models.ModelConfig:
-    names = [field.name for field in dataclasses.fields(models.ModelConfig)]
-    unknown = sorted(params.keys() - set(names))
-    if unknown:
-        raise ValueError(f"unknown model parameter {unknown[0]!r}; "
-                         f"valid names are {', '.join(names)}")
-    return models.ModelConfig(**params)
 
 
 def _configure(args):
@@ -185,13 +188,7 @@ def _configure(args):
                 f"--{flag} sets the synthetic model, but source.kind is "
                 f"{cfg['source']['kind']!r}"), 2)
     cfg["output"].setdefault("dir", os.environ.get(ENV_OUT) or "spectrend_out")
-    _run_stage("validate", _validate, cfg, file_cfg.get("source", {}))
-    cfg["source"]["model"] = {**_SCHEMA["source"]["model"][1], **cfg["source"]["model"],
-                              **model_flags}
-    model = None
-    if cfg["source"]["kind"] == "synthetic":
-        model = _run_stage("model-config", _model_config, cfg["source"]["model"])
-    return cfg, model
+    return cfg, _run_stage("validate", _validate, cfg, model_flags)
 
 
 def _load_source(cfg, model) -> data.TimeSeries:
@@ -241,7 +238,7 @@ def _analyze(args):
 def cmd_synth(args) -> int:
     cfg, model = _configure(args)
     if model is None:
-        raise StageError("synth", ValueError("synth requires a synthetic source"), 2)
+        raise StageError("validate", ValueError("synth requires a synthetic source"), 2)
     traj = _run_stage("simulate", models.simulate, model)
     out_dir = cfg["output"]["dir"]
     _run_stage("output", os.makedirs, out_dir, exist_ok=True)

@@ -106,7 +106,7 @@ class TestSynth:
         out = tmp_path / "o"
         assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
-            "error [synth] synth requires a synthetic source")
+            "error [validate] synth requires a synthetic source")
         assert not out.exists()
 
 
@@ -176,7 +176,7 @@ def test_bad_model_parameter_exits_before_any_output(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main([command, "--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
-        "error [model-config] seed must be a nonnegative integer, got -1")
+        "error [validate] seed must be a nonnegative integer, got -1")
     assert not out.exists()
 
 
@@ -420,7 +420,7 @@ class TestAnalyze:
         code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error [model-config] unknown model parameter 'bogus'; "
+        assert err.startswith("error [validate] unknown model parameter 'bogus'; "
                               "valid names are kind, n_steps, alpha,")
         assert not (tmp_path / "o").exists()
 
@@ -428,7 +428,7 @@ class TestAnalyze:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"source": {"model": {"kind": "F", "n_steps": True}}}))
         assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-        assert "[model-config]" in capsys.readouterr().err
+        assert "[validate]" in capsys.readouterr().err
 
     def test_embedding_too_long_exits_2(self, tmp_path, capsys):
         code = main(["analyze", "--model", "F", "--Q", "300", "--lag", "10",
@@ -646,3 +646,43 @@ class TestPeriods:
               "--out", str(out)])
         resolved = json.loads((out / "run_config.json").read_text())
         assert resolved["embedding"] == {"Q": 3, "lag": 10}
+
+
+def write_replay_sources(tmp_path):
+    """A small scalar record and a field stack with one sentinel cell."""
+    ages = np.arange(400.0)
+    np.savetxt(tmp_path / "record.txt", np.column_stack([ages, np.cos(ages / 7.0) + ages / 300]))
+    t = np.arange(100)[:, None, None]
+    yy, xx = np.mgrid[0:4, 0:4]
+    field = np.sin(2.0 * np.pi * t / 12.0 + 0.4 * (yy + xx))
+    field[:, 2, 1] = -999.0
+    with open(tmp_path / "stack.txt", "w") as f:
+        f.write("4 4 -999\n")
+        np.savetxt(f, field.reshape(-1, 4))
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["analyze", "--steps", "300"], None),
+    (["analyze"], {"kind": "scalar", "path": "record.txt", "dt": 2, "reverse_time": True}),
+    (["reconstruct", "--indices", "2"], {"kind": "field", "path": "stack.txt"}),
+], ids=["synthetic", "scalar", "field"])
+def test_run_config_replays_the_run(tmp_path, monkeypatch, argv, source):
+    monkeypatch.chdir(tmp_path)
+    write_replay_sources(tmp_path)
+    if source is not None:
+        (tmp_path / "run.json").write_text(json.dumps({
+            "source": source, "embedding": {"Q": 2, "lag": 3},
+            "operator": {"knn": 8, "modes": 6}}))
+        argv = argv + ["--config", "run.json"]
+    assert main(argv + ["--out", "first"]) == 0
+    assert main([argv[0], "--config", "first/run_config.json", "--out", "replay"]) == 0
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in replay.iterdir())
+    for name in names:
+        if name != "run_config.json":
+            assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+    configs = [json.loads((d / "run_config.json").read_text()) for d in (first, replay)]
+    for cfg in configs:
+        del cfg["output"]["dir"]
+    assert configs[0] == configs[1]

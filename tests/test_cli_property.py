@@ -1,5 +1,6 @@
 """Random JSON configs end in exit 0, 2 or 3 with a stage-tagged error,
-never in a traceback.
+never in a traceback, and a run that exits 0 replays from its own
+``run_config.json``.
 
 Configs are drawn from the config schema's own sections and keys, plus
 unknown ones, with plausible values mixed with values of every JSON type.
@@ -95,3 +96,7 @@ def test_random_config_exits_cleanly(stub_pipeline, workdir, capsys, command, cf
     err = capsys.readouterr().err
     assert code in (0, 2, 3)
     assert code == 0 or err.startswith("error ["), err
+    # a run's resolved config replays it (synth writes no run_config.json)
+    if code == 0 and command != "synth":
+        code = cli.main([command, "--config", "out/run_config.json", "--out", "replay"])
+        assert code == 0, capsys.readouterr().err

@@ -108,8 +108,15 @@ def test_trajectory_step_column(tmp_path):
 def stub_pipeline(monkeypatch):
     """CLI runs whose operator, decomposition and mode reports are hand-built."""
     dec = decomposition([1.0, 0.125j, -0.125j, 0.75], np.zeros(4))
-    monkeypatch.setattr(operator, "build_operator",
-                        lambda emb, s, K, **kw: types.SimpleNamespace(n=3))
+
+    def build_operator(emb, s, K, **kw):
+        # a real operator has n_points - s rows; a cloud too short for the
+        # stub's three is rejected under [operator], never misaligned
+        if emb.n_points - s < 3:
+            raise ValueError(f"{emb.n_points} points leave fewer than 3 rows at step {s}")
+        return types.SimpleNamespace(n=3)
+
+    monkeypatch.setattr(operator, "build_operator", build_operator)
     monkeypatch.setattr(operator, "eigendecompose", lambda op, m: dec)
     monkeypatch.setattr(spectral, "classify_modes", lambda dec, target: REPORTS)
 

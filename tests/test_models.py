@@ -201,7 +201,7 @@ class TestModelConfig:
         field = next(key for key in model if key != "kind")
         name = "unknown drift preset" if model[field] == "cubic" else f"{field} must be"
         err = capsys.readouterr().err
-        assert err.startswith(f"error [model-config] {name}") and err.count("\n") == 1
+        assert err.startswith(f"error [validate] {name}") and err.count("\n") == 1
 
     def test_numpy_scalars_accepted(self):
         plain = ModelConfig(kind="F", n_steps=200, seed=3, x0=0.25, alpha1=0.2)
