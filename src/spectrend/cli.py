@@ -12,10 +12,12 @@ Configuration comes from a JSON file (--config) with sections ``source``,
 command line flags override config fields; every value, a synthetic
 model's included, is judged under ``[validate]``.  Every analysis run writes
 the resolved config, ``run_config.json``, which as --config replays the run.
-Exit status: 0 on success, 2 on validation errors, 3 on numerical failures.
-Every failure prints one ``error [stage] message`` line to stderr, and
-``main`` returns its exit status; a command line that argparse rejects is a
-``[config]`` failure, and only ``--help`` raises ``SystemExit``.
+Exit status: 0 on success, 3 on a numerical failure (``NumericalError``)
+and 2 on any fault of the command line, config or input, a number no float
+can hold included.  Every such failure prints one ``error [stage] message``
+line to stderr, and ``main`` returns its exit status; a command line that
+argparse rejects is a ``[config]`` failure, and only ``--help`` raises
+``SystemExit``.  Any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import argparse
 import copy
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -36,7 +37,7 @@ ENV_OUT = "SPECTREND_OUT"
 # is not an int here
 _POSITIVE = ("a positive integer", lambda v: type(v) is int and v >= 1)
 _NONNEGATIVE = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
-_NUMBER = ("a finite number", lambda v: type(v) in (int, float) and abs(v) < math.inf)
+_NUMBER = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
 _STRING = ("a string", lambda v: type(v) is str)
 _ANOMALY = ('{"window": [start, stop], "cycle": n}',
             lambda v: type(v) is dict and v.keys() == {"window", "cycle"}
@@ -99,24 +100,22 @@ _PIPELINE = _COMMON + ("Q", "lag", "step", "knn", "modes")
 
 
 class StageError(Exception):
-    def __init__(self, stage, exc, code):
+    def __init__(self, stage, exc):
         super().__init__(f"[{stage}] {exc}")
-        self.code = code
+        self.code = 3 if isinstance(exc, operator.NumericalError) else 2
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):    # a rejected command line is a [config] error
-        raise StageError("config", ValueError(message), 2)
+        raise StageError("config", ValueError(message))
 
 
 def _run_stage(stage, fn, /, *args, **kwargs):
     """Run one pipeline stage, tagging failures with the stage name."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, OSError, KeyError, TypeError, MemoryError) as exc:
-        raise StageError(stage, exc, 2) from exc
-    except (operator.NumericalError, ArithmeticError) as exc:
-        raise StageError(stage, exc, 3) from exc
+    except (ValueError, OSError, MemoryError, operator.NumericalError) as exc:
+        raise StageError(stage, exc) from exc
 
 
 def load_config(path) -> dict:
@@ -186,7 +185,7 @@ def _configure(args):
         else:
             raise StageError("config", ValueError(
                 f"--{flag} sets the synthetic model, but source.kind is "
-                f"{cfg['source']['kind']!r}"), 2)
+                f"{cfg['source']['kind']!r}"))
     cfg["output"].setdefault("dir", os.environ.get(ENV_OUT) or "spectrend_out")
     return cfg, _run_stage("validate", _validate, cfg, model_flags)
 
@@ -238,7 +237,7 @@ def _analyze(args):
 def cmd_synth(args) -> int:
     cfg, model = _configure(args)
     if model is None:
-        raise StageError("validate", ValueError("synth requires a synthetic source"), 2)
+        raise StageError("validate", ValueError("synth requires a synthetic source"))
     traj = _run_stage("simulate", models.simulate, model)
     out_dir = cfg["output"]["dir"]
     _run_stage("output", os.makedirs, out_dir, exist_ok=True)

@@ -23,6 +23,7 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 from typing import Optional
 
 import numpy as np
@@ -112,6 +113,12 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A real number a float can hold: not NaN or infinite, nor an int too
+    large for a float, on which ``math.isfinite`` raises."""
+    return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
     """Parameters of one synthetic run.
@@ -154,14 +161,14 @@ class ModelConfig:
                 continue
             if not _is_real(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            if not _is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if isinstance(self.drift, str):
             if self.drift not in ("linear", "quadratic"):
                 raise ValueError(f"unknown drift preset {self.drift!r}")
         else:
             coeffs = tuple(self.drift) if isinstance(self.drift, (list, tuple, np.ndarray)) else ()
-            if len(coeffs) != 3 or not all(_is_real(v) and math.isfinite(v) for v in coeffs):
+            if len(coeffs) != 3 or not all(_is_real(v) and _is_finite(v) for v in coeffs):
                 raise ValueError("drift must be 'linear', 'quadratic' or a (d0, d1, d2) triple "
                                  f"of finite numbers, got {self.drift!r}")
             object.__setattr__(self, "drift", tuple(float(v) for v in coeffs))

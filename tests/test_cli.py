@@ -686,3 +686,42 @@ def test_run_config_replays_the_run(tmp_path, monkeypatch, argv, source):
     for cfg in configs:
         del cfg["output"]["dir"]
     assert configs[0] == configs[1]
+
+
+# a source key or model parameter set to an int no float can hold, and the
+# name its [validate] message gives
+TOO_BIG = 10**400
+UNFLOATABLE = {
+    "t_start": ({"kind": "scalar", "path": BENTHIC, "t_start": TOO_BIG}, "source.t_start"),
+    "t_end": ({"kind": "scalar", "path": BENTHIC, "t_end": TOO_BIG}, "source.t_end"),
+    "dt": ({"kind": "scalar", "path": BENTHIC, "dt": TOO_BIG}, "source.dt"),
+    "sentinel": ({"kind": "field", "path": "stack.txt", "sentinel": TOO_BIG}, "source.sentinel"),
+    "alpha1": ({"model": {"alpha1": TOO_BIG}}, "alpha1"),
+    "delta": ({"model": {"delta": TOO_BIG}}, "delta"),
+    "x0": ({"model": {"x0": TOO_BIG}}, "x0"),
+    "drift": ({"model": {"kind": "M", "drift": [0.0, TOO_BIG, 0.0]}}, "drift"),
+}
+
+
+@pytest.mark.parametrize("source, named", UNFLOATABLE.values(), ids=UNFLOATABLE)
+def test_number_no_float_holds_exits_2_before_any_output(tmp_path, monkeypatch, capsys, source,
+                                                         named):
+    monkeypatch.chdir(tmp_path)
+    write_replay_sources(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"source": source}))
+    assert main(["analyze", "--config", "run.json", "--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [validate] {named} must be ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exc_type", [KeyError, TypeError, OverflowError])
+def test_other_exception_in_a_stage_propagates(tmp_path, monkeypatch, exc_type):
+    # bad input raises ValueError or OSError and a numerical failure
+    # NumericalError; anything else is a bug, not an exit code
+    def build_operator(*args, **kwargs):
+        raise exc_type("bug")
+
+    monkeypatch.setattr(spectrend.operator, "build_operator", build_operator)
+    with pytest.raises(exc_type):
+        main(["analyze", "--steps", "300", "--out", str(tmp_path / "o")])

@@ -211,6 +211,16 @@ class TestModelConfig:
         drift = ModelConfig(kind="M", drift=np.array([0.1, 0.0, 0.0]), a=np.int32(2))
         assert drift.drift_coefficients() == (0.1, 0.0, 0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha1", np.float32(np.inf)), ("a", np.float16(-np.inf)), ("x0", 10**400),
+        ("drift", np.array([0.1, np.inf, 0.0], dtype=np.float32)), ("drift", [0, 10**400, 0]),
+    ], ids=["float32-alpha1", "float16-a", "int-x0", "float32-drift", "int-drift"])
+    def test_value_no_float_holds_rejected(self, field, value):
+        # a float32 infinity compares in float32, where float_info.max is
+        # infinite too; an int too large for a float makes math.isfinite raise
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ModelConfig(kind="M", **{field: value})
+
 
 class TestSimulate:
     def test_model_m_initial_observation(self):
