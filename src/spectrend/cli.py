@@ -37,7 +37,7 @@ ENV_OUT = "SPECTREND_OUT"
 # is not an int here
 _POSITIVE = ("a positive integer", lambda v: type(v) is int and v >= 1)
 _NONNEGATIVE = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
-_NUMBER = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_NUMBER = ("a finite number", lambda v: type(v) in (int, float) and models._is_finite(v))
 _STRING = ("a string", lambda v: type(v) is str)
 _ANOMALY = ('{"window": [start, stop], "cycle": n}',
             lambda v: type(v) is dict and v.keys() == {"window", "cycle"}

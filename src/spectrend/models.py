@@ -150,7 +150,7 @@ class ModelConfig:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {_KINDS}")
         steps = self.n_steps if self.n_steps is not None else _DEFAULT_STEPS[self.kind]
-        if type(steps) is not int or steps <= 0:    # rejects bool
+        if type(steps) is not int or steps <= 0 or not _is_finite(steps):    # rejects bool
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", steps)
         if not isinstance(self.seed, numbers.Integral) or type(self.seed) is bool or self.seed < 0:

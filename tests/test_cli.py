@@ -700,6 +700,7 @@ UNFLOATABLE = {
     "delta": ({"model": {"delta": TOO_BIG}}, "delta"),
     "x0": ({"model": {"x0": TOO_BIG}}, "x0"),
     "drift": ({"model": {"kind": "M", "drift": [0.0, TOO_BIG, 0.0]}}, "drift"),
+    "n_steps": ({"model": {"kind": "M", "n_steps": TOO_BIG}}, "n_steps"),
 }
 
 

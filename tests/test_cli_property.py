@@ -27,6 +27,7 @@ SCALARS = (st.none() | st.booleans() | st.integers(-2, 300)
 VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
                       | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
 
+MODEL_KINDS = st.sampled_from(["M", "A", "F", "Fprime"])
 # values that pass the schema, so the draws also reach the later stages
 PLAUSIBLE = {
     "kind": st.sampled_from(["synthetic", "scalar", "field"]),
@@ -43,12 +44,12 @@ PLAUSIBLE = {
     "indices": st.lists(st.integers(-1, 6), max_size=3), "dir": st.just("ignored"),
     # n_steps is always set, so a run simulates at most 300 steps
     "model": st.fixed_dictionaries({"n_steps": st.integers(1, 300)},
-                                   optional={"kind": st.sampled_from(["M", "A", "F", "Fprime"]),
+                                   optional={"kind": MODEL_KINDS,
                                              "seed": st.integers(0, 300)}),
 }
 WILD_MODELS = st.fixed_dictionaries(
-    {"n_steps": st.integers(-1, 300)},
-    optional={"kind": VALUES, "seed": VALUES, "delta": VALUES, "drift": VALUES,
+    {"n_steps": st.integers(-1, 300) | st.just(10**400)},
+    optional={"kind": MODEL_KINDS | VALUES, "seed": VALUES, "delta": VALUES, "drift": VALUES,
               "bogus": VALUES}) | SCALARS
 
 
@@ -107,6 +108,7 @@ def workdir(tmp_path, monkeypatch):
 @example(command="periods", cfg={"source": {"kind": "field", "path": "stack.txt"}})
 @example(command="analyze", cfg={"source": {"model": {"n_steps": 100}}})
 @example(command="analyze", cfg={"source": {"model": {"n_steps": 5, "alpha1": 10**400}}})
+@example(command="synth", cfg={"source": {"model": {"kind": "M", "n_steps": 10**400}}})
 def test_random_config_exits_cleanly(stub_pipeline, workdir, capsys, command, cfg):  # noqa: F811
     (workdir / "run.json").write_text(json.dumps(cfg))
     code = cli.main([command, "--config", "run.json", "--out", "out"])
