@@ -124,6 +124,8 @@ def load_config(path) -> dict:
             cfg = json.load(f)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config root must be a JSON object")
     for name, section in cfg.items():

@@ -11,7 +11,39 @@ N x N matrix of squared distances between all points, computed once: the
 kernel is packed from its (N-s) x (N-s) block to the front of that matrix's
 buffer, and P is normalized in place over the kernel.  Each step runs in
 blocks of ``_ROW_BLOCK`` rows, so no temporary exceeds that many rows of N
-entries and the build holds one N x N array.  P is row stochastic, so
+entries and the build holds one N x N array.
+
+One NumPy kernel, ``_sqdist_rows``, fills the squared distances a row block
+at a time, in one of two forms chosen by the cloud's dimension.  Up to
+``_EXACT_DIM`` coordinates it sums (x_k - y_k)^2 one coordinate at a time, in
+order, which rounds as SciPy's ``cdist(..., "sqeuclidean")`` does.  Above it
+it takes the Gram form ||x||^2 + ||y||^2 - 2 x.y as matrix products over
+blocks of ``_COL_BLOCK`` coordinates, each centred on the cloud's mean.
+Best of three, in ms at one BLAS thread on a 2-core Xeon, with the largest
+relative error of an off-diagonal entry against ``cdist``:
+
+    cloud                 cdist   per coordinate   Gram form
+    model F, 2980 x 3        31       28    0         44   5e-08
+    benthic, 2961 x 5        31       40    0         46   1e-12
+    normal, 2000 x 3          8       23    0         20   5e-13
+    normal, 2000 x 5         12       41    0         19   2e-14
+    normal, 2000 x 8         13       59    0         20   8e-15
+    normal, 2000 x 16        25      109    0         19   2e-15
+    normal, 2000 x 32        47      201    0         22   1e-15
+    normal, 2000 x 64       102      420    0         29   1e-15
+    40x40 field, 497 x 3196 300     1589    0         40   2e-12
+
+The Gram form rounds against the points' norms rather than their distance,
+and does worst on the low-dimensional curves of delay-embedded scalar
+records.  Up to 16 coordinates the exact form costs about 0.1 s at N = 2000
+and keeps such runs' tables byte for byte; beyond, its cost grows with the
+dimension while the Gram form's barely does.  The Gram form's rounding of
+an entry is at most about dim * eps * max ||x - mean||^2.  Every kernel
+exponent divides by d_i d_j, at least the smallest squared bandwidth; where
+the rounding bound exceeds ``_GRAM_TOL`` of that, as near-duplicate points
+make it, the distances are recomputed by the exact form.
+
+P is row stochastic, so
 1 is always an eigenvalue with constant eigenvector; the rest of the dominant
 spectrum carries trends (real eigenvalues) and oscillations (conjugate
 pairs).  Right eigenvectors come with dual (left) eigenvectors normalized to
@@ -50,7 +82,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg.blas import dgemm, dgemv
-from scipy.spatial.distance import cdist
 
 from ._table import write_table
 from .embed import EmbeddedSeries
@@ -66,6 +97,12 @@ _KRYLOV_RESTARTS = 50  # ARPACK restart budget before the dense fallback
 # BLAS thread).  The cutoff sits well below that crossover.
 _CSR_DENSITY = 0.1
 _ROW_BLOCK = 256       # rows per block of the operator build
+_EXACT_DIM = 16        # largest dimension summed per coordinate (module docstring)
+_COL_BLOCK = 256       # coordinates per centred block of the Gram form
+_CACHE_ROWS = 16       # rows per pass of the per-coordinate sum; its (16, N) blocks stay in cache
+# Largest Gram rounding bound, as a fraction of the smallest squared bandwidth.
+# It reads 6.8e-11 on the 40x40 field (K = 8), 9e-13 on criterion 7's field.
+_GRAM_TOL = 1e-9
 
 
 class NumericalError(RuntimeError):
@@ -126,9 +163,9 @@ def _as_sqdist(D2) -> np.ndarray:
     return D2
 
 
-def _row_blocks(n: int):
-    """Slices of at most ``_ROW_BLOCK`` consecutive rows covering range(n)."""
-    return (slice(i, min(i + _ROW_BLOCK, n)) for i in range(0, n, _ROW_BLOCK))
+def _blocks(n: int, size: int = _ROW_BLOCK):
+    """Slices of at most ``size`` consecutive indices covering range(n)."""
+    return (slice(i, min(i + size, n)) for i in range(0, n, size))
 
 
 def knn_bandwidths(D2, K: int) -> np.ndarray:
@@ -146,7 +183,7 @@ def knn_bandwidths(D2, K: int) -> np.ndarray:
     if K >= n:
         raise ValueError(f"K={K} needs at least K+1={K + 1} points, have {n}")
     d = np.empty(n)
-    for rows in _row_blocks(n):
+    for rows in _blocks(n):
         d[rows] = np.partition(D2[rows], K, axis=1)[:, K]
     np.sqrt(d, out=d)
     if not np.all(np.isfinite(d)):
@@ -180,7 +217,7 @@ def kernel_matrix(D2, s: int, bandwidths: np.ndarray) -> np.ndarray:
     S = D2.reshape(-1)[:n * n].reshape(n, n)
     # Row i moves from offset i*N + s to i*n, leftwards and never onto a row
     # not yet read, so each block is read whole before its rows are written.
-    for rows in _row_blocks(n):
+    for rows in _blocks(n):
         block = np.outer(d[rows], d[s:])
         np.divide(D2[rows, s:], block, out=block)
         np.exp(np.negative(block, out=block), out=S[rows])
@@ -206,13 +243,73 @@ def row_stochastic(S: np.ndarray) -> np.ndarray:
     if dead.size:
         raise NumericalError(
             f"kernel row {dead[0]} sums to zero (isolated point); cannot normalize")
-    for rows in _row_blocks(len(S)):
+    for rows in _blocks(len(S)):
         block = S[rows]
         block /= sums[rows, None]
         # Entries below eps are negligible against each row's sum of 1, but
         # the many subnormal ones make every matrix product several times slower.
         block[block < np.finfo(float).eps] = 0.0
     return S
+
+
+def _sqdist_rows(X: np.ndarray, Y: np.ndarray, out: np.ndarray, gram: bool) -> np.ndarray:
+    """Squared distances from the rows of X to those of Y, written into the
+    (len(X), len(Y)) array ``out`` and returned.
+
+    Without ``gram`` each entry is the sum of (x_k - y_k)^2 over the
+    coordinates, in order, which rounds as SciPy's ``cdist(X, Y,
+    "sqeuclidean")`` does.  With ``gram`` it is
+    ||x||^2 + ||y||^2 - 2 x.y on coordinates centred on Y's mean, one block of
+    ``_COL_BLOCK`` coordinates at a time so that no copy of Y is made, and
+    clipped at zero.
+    """
+    dim = X.shape[1]
+    if not gram:
+        YT = np.ascontiguousarray(Y.T)    # as small as the cloud's few coordinates
+        tmp = np.empty((min(_CACHE_ROWS, len(X)), len(Y)))
+        if dim == 0:
+            out[...] = 0.0
+        for rows in _blocks(len(X), _CACHE_ROWS):
+            acc, x = out[rows], X[rows]
+            for k in range(dim):
+                sq = tmp[:len(acc)] if k else acc
+                np.subtract(x[:, k, None], YT[k], out=sq)
+                np.square(sq, out=sq)
+                if k:
+                    acc += sq
+        return out
+    x_norm2, y_norm2 = np.zeros(len(X)), np.zeros(len(Y))
+    out[...] = 0.0
+    for cols in _blocks(dim, _COL_BLOCK):
+        mean = Y[:, cols].mean(axis=0)
+        xc, yc = X[:, cols] - mean, Y[:, cols] - mean
+        x_norm2 += np.einsum("ij,ij->i", xc, xc)
+        y_norm2 += np.einsum("ij,ij->i", yc, yc)
+        out += xc @ yc.T
+    out *= -2.0
+    out += x_norm2[:, None]
+    out += y_norm2
+    return np.maximum(out, 0.0, out=out)
+
+
+def _fill_sqdist(D2: np.ndarray, pts: np.ndarray, gram: bool) -> None:
+    """Squared distances between all points of ``pts`` into D2, a row block at a time."""
+    for rows in _blocks(len(pts)):
+        _sqdist_rows(pts[rows], pts, D2[rows], gram)
+
+
+def _gram_resolves(D2: np.ndarray, pts: np.ndarray, K: int) -> bool:
+    """Whether the Gram form's rounding of squared distances between centred
+    points, at most dim * eps * max ||x - mean||^2 per entry, is within
+    ``_GRAM_TOL`` of the smallest squared K-th neighbor distance in ``D2``,
+    which no kernel exponent's denominator d_i d_j is below."""
+    K = min(K, len(D2) - 1)    # knn_bandwidths judges K
+    kth = min(np.partition(D2[rows], K, axis=1)[:, K].min() for rows in _blocks(len(D2)))
+    norm2 = np.zeros(len(pts))
+    for cols in _blocks(pts.shape[1], _COL_BLOCK):
+        centred = pts[:, cols] - pts[:, cols].mean(axis=0)
+        norm2 += np.einsum("ij,ij->i", centred, centred)
+    return pts.shape[1] * np.finfo(float).eps * norm2.max() <= _GRAM_TOL * kth
 
 
 def build_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
@@ -228,7 +325,11 @@ def build_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
     e = np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1]
     if abs(e) > 400:
         pts = np.ldexp(pts, -e)
-    D2 = cdist(pts, pts, "sqeuclidean")
+    D2 = np.empty((len(pts), len(pts)))
+    gram = pts.shape[1] > _EXACT_DIM
+    _fill_sqdist(D2, pts, gram)
+    if gram and not _gram_resolves(D2, pts, K):
+        _fill_sqdist(D2, pts, gram=False)
     d = knn_bandwidths(D2, K)
     S = kernel_matrix(D2, s, d)
     return MarkovOperator(row_stochastic(S), s, emb.dt)
@@ -322,6 +423,34 @@ def _blas_operator(P: np.ndarray):
         matmat=lambda X: dgemm(1.0, PT, X, trans_a=1), rmatmat=lambda X: dgemm(1.0, PT, X))
 
 
+def _operand(P: np.ndarray):
+    """The one operand for ARPACK and every residual product: a CSR copy of P
+    when at most ``_CSR_DENSITY`` of it is nonzero, else ``_blas_operator(P)``.
+
+    The CSR copy is built in blocks of ``_ROW_BLOCK`` rows: one pass counts
+    each row's nonzeros, whose total picks the operand and whose cumulative
+    sum is ``indptr``; a second fills ``data`` and ``indices``.
+    """
+    n_rows, n_cols = P.shape
+    counts = np.empty(n_rows, dtype=np.int64)
+    for rows in _blocks(n_rows):
+        counts[rows] = np.count_nonzero(P[rows], axis=1)
+    if counts.sum() > _CSR_DENSITY * P.size:
+        return _blas_operator(P)
+    # int32 indices, as csr_array(P) picks: nnz <= n^2 / 10 stays below 2^31
+    # for any n whose dense P (8 n^2 bytes) fits in memory
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    for rows in _blocks(n_rows):
+        block = P[rows]
+        nonzero = block != 0.0
+        span = slice(indptr[rows.start], indptr[rows.stop])
+        data[span] = block[nonzero]
+        indices[span] = np.flatnonzero(nonzero) % n_cols
+    return scipy.sparse.csr_array((data, indices, indptr), shape=P.shape)
+
+
 def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecomposition:
     """Top-m eigenpairs of P with duals from the transposed matrix.
 
@@ -337,10 +466,7 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     m = n if m is None else m
     if not 1 <= m <= n:
         raise ValueError(f"mode count m must lie in [1, {n}], got {m}")
-    # one operand for ARPACK and every residual product: a CSR copy of a mostly
-    # zero P, else dense products in SciPy's BLAS, which ARPACK itself links
-    mostly_zero = np.count_nonzero(P) / P.size <= _CSR_DENSITY
-    A = scipy.sparse.csr_array(P) if mostly_zero else _blas_operator(P)
+    A = _operand(P)
     found = _leading_eigs(A, m)
     w, vl, vr = _dense_eigs(P) if found is None else found
     # do not split a conjugate pair at the retention boundary

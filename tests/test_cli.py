@@ -312,6 +312,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error [config]") and "must be a JSON object" in err
 
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        # json.load recurses once per level and raises RecursionError here
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text('{"source": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error [config] {cfg_path}: JSON nested too deeply to parse\n"
+        assert not (tmp_path / "o").exists()
+
     def test_oversized_grid_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
         def no_grid(*args, **kwargs):
             raise AssertionError("np.arange reached")

@@ -106,6 +106,7 @@ def workdir(tmp_path, monkeypatch):
 @example(command="analyze",
          cfg={"source": {"kind": "scalar", "path": str(benthic_fixture_path()), "t_end": 300}})
 @example(command="periods", cfg={"source": {"kind": "field", "path": "stack.txt"}})
+@example(command="reconstruct", cfg={"source": {"kind": "field", "path": "stack.txt"}})
 @example(command="analyze", cfg={"source": {"model": {"n_steps": 100}}})
 @example(command="analyze", cfg={"source": {"model": {"n_steps": 5, "alpha1": 10**400}}})
 @example(command="synth", cfg={"source": {"model": {"kind": "M", "n_steps": 10**400}}})
@@ -118,4 +119,14 @@ def test_random_config_exits_cleanly(stub_pipeline, workdir, capsys, command, cf
     # a run's resolved config replays it (synth writes no run_config.json)
     if code == 0 and command != "synth":
         code = cli.main([command, "--config", "out/run_config.json", "--out", "replay"])
+        assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(PATHS))
+def test_stubbed_reconstruct_can_exit_0(stub_pipeline, workdir, capsys, kind):  # noqa: F811
+    # the stub's eigenvectors match its operator's rows, so a plausible
+    # reconstruct draw reaches the projection and exits 0, and replays
+    (workdir / "run.json").write_text(json.dumps({"source": {"kind": kind, **PATHS[kind]}}))
+    for cfg, out in (("run.json", "out"), ("out/run_config.json", "replay")):
+        code = cli.main(["reconstruct", "--config", cfg, "--out", out])
         assert code == 0, capsys.readouterr().err

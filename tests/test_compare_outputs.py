@@ -92,3 +92,47 @@ def test_residual_jitter(two_runs, factor, code):
 
 def test_missing_directory_is_usage_error(tmp_path):
     assert compare_outputs.main([str(tmp_path), str(tmp_path / "absent")]) == 2
+
+
+def nudge_first_float(path, relative):
+    """Scale the first nonzero float of the first table row by 1 + relative."""
+    row = path.read_text().splitlines()[1]
+    cells = row.split()
+    col = next(i for i, cell in enumerate(cells) if "e" in cell and float(cell) != 0.0)
+    cells[col] = f"{float(cells[col]) * (1.0 + relative):.17e}"
+    edit(path, row, " ".join(cells))
+
+
+@pytest.mark.parametrize("numeric, code", [(False, 1), (True, 0)], ids=["bytes", "numeric"])
+def test_rounding_change_passes_only_numeric_mode(two_runs, capsys, numeric, code):
+    parent, change = two_runs
+    for table in ("modes.txt", "periods.txt", "eigenvalues.txt"):
+        nudge_first_float(change / table, 1e-14)
+    assert compare_outputs.main(["--numeric"] * numeric + [str(parent), str(change)]) == code
+    out = capsys.readouterr().out
+    assert ("DIFF modes.txt" in out) == (not numeric)
+
+
+def test_identical_outputs_match_in_numeric_mode(two_runs, capsys):
+    parent, change = two_runs
+    assert compare_outputs.main(["--numeric", str(parent), str(change)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sorted(lines) == sorted(f"same {name}" for name in os.listdir(parent))
+
+
+@pytest.mark.parametrize("change_kind", ["beyond_tolerance", "word", "cell_count", "line_count"])
+def test_numeric_mode_catches_real_changes(two_runs, capsys, change_kind):
+    parent, change = two_runs
+    path = change / "periods.txt"
+    text = path.read_text()
+    if change_kind == "beyond_tolerance":
+        nudge_first_float(path, 1e-9)
+    elif change_kind == "word":
+        edit(path, " trend\n" if " trend\n" in text else " constant\n", " oscillatory\n")
+    elif change_kind == "cell_count":
+        row = text.splitlines()[1]
+        edit(path, row, row + " 0")
+    else:
+        path.write_text(text + text.splitlines()[1] + "\n")
+    assert compare_outputs.main(["--numeric", str(parent), str(change)]) == 1
+    assert "DIFF periods.txt" in capsys.readouterr().out

@@ -30,7 +30,7 @@ REPORTS = [
 
 def decomposition(eigenvalues, residuals):
     m = len(eigenvalues)
-    zeros = np.zeros((2, m), dtype=complex)
+    zeros = np.zeros((3, m), dtype=complex)    # n = 3, as stub_pipeline's operator
     return SpectralDecomposition(
         eigenvalues=np.asarray(eigenvalues, dtype=complex), right_vectors=zeros,
         dual_vectors=zeros, pair_index=np.full(m, -1), residuals=np.asarray(residuals),

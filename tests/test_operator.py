@@ -144,15 +144,65 @@ class TestKernelMatrix:
 
     @pytest.mark.parametrize("dim", [3, 30])
     def test_build_operator_computes_distances_once(self, monkeypatch, dim):
-        calls = []
+        blocks = []
+        sqdist_rows = spectrend.operator._sqdist_rows
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return cdist(*args, **kwargs)
+        def spy(X, Y, out, gram):
+            blocks.append((len(X), gram))
+            return sqdist_rows(X, Y, out, gram)
 
-        monkeypatch.setattr(spectrend.operator, "cdist", spy)
-        build_operator(delay_embed(random_cloud(60, dim), 1, 1), 1, 5)
-        assert len(calls) == 1
+        monkeypatch.setattr(spectrend.operator, "_sqdist_rows", spy)
+        build_operator(delay_embed(random_cloud(300, dim), 1, 1), 1, 5)
+        # each point's row of distances is computed once, on one path
+        assert [rows for rows, _gram in blocks] == [256, 44]
+        assert {gram for _rows, gram in blocks} == {dim > spectrend.operator._EXACT_DIM}
+
+
+class TestSquaredDistances:
+    """The one squared-distance kernel against SciPy's cdist."""
+
+    @staticmethod
+    def filled(pts, gram):
+        D2 = np.empty((len(pts), len(pts)))
+        spectrend.operator._fill_sqdist(D2, pts, gram)
+        return D2
+
+    @pytest.mark.parametrize("n, dim", [(600, 3), (300, 5), (120, 16)])
+    def test_low_dimension_has_cdist_bits(self, n, dim):
+        assert dim <= spectrend.operator._EXACT_DIM
+        pts = np.random.default_rng(dim).standard_normal((n, dim)) * 10.0 ** np.arange(dim)
+        np.testing.assert_array_equal(self.filled(pts, False), sqdist(pts))
+
+    def test_gram_form_within_1e_12_of_cdist(self):
+        pts = np.random.default_rng(5).standard_normal((60, 400)) + 3.0
+        assert pts.shape[1] > spectrend.operator._EXACT_DIM
+        got, want = self.filled(pts, True), sqdist(pts)
+        off = ~np.eye(len(pts), dtype=bool)
+        assert np.all(np.abs(got - want)[off] <= 1e-12 * want[off])
+        assert np.all(got.diagonal() <= 1e-12 * want.max())
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("K", [1, 5])
+    def test_gram_guard_on_near_duplicates(self, monkeypatch, offset, K):
+        # 30 points with a partner 1e-8 away: at K = 1 every bandwidth is
+        # 1e-8, far below the Gram form's rounding of squared distances
+        base = np.random.default_rng(6).standard_normal((30, 400))
+        pts = np.concatenate([base, base + 1e-8 * np.eye(400)[0]]) + offset
+        paths = []
+        sqdist_rows = spectrend.operator._sqdist_rows
+
+        def spy(X, Y, out, gram):
+            paths.append(gram)
+            return sqdist_rows(X, Y, out, gram)
+
+        monkeypatch.setattr(spectrend.operator, "_sqdist_rows", spy)
+        P = build_operator(delay_embed(pts, 1, 1), 1, K).P
+        _, _, P_ref = TestRowBlockedBuild.reference(pts, 1, K)
+        exact = not paths[-1]
+        assert exact or np.max(np.abs(P - P_ref)) <= 1e-10
+        assert exact == (K == 1)
+        if exact:
+            np.testing.assert_array_equal(P, P_ref)
 
 
 class TestRowStochastic:
@@ -642,13 +692,33 @@ class TestCsrOperand:
         np.testing.assert_allclose(dec.eigenvalues, [1.0, z, z.conjugate(), z**2, z.conjugate()**2],
                                    rtol=0, atol=1e-12)
 
-    def test_cli_import_defers_sparse_linalg(self):
+    def test_blockwise_csr_matches_csr_array(self):
+        op = self.circle_operator()
+        assert op.n > spectrend.operator._ROW_BLOCK
+        A, want = spectrend.operator._operand(op.P), scipy.sparse.csr_array(op.P)
+        assert scipy.sparse.issparse(A) and A.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            got, ref = getattr(A, name), getattr(want, name)
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+    @staticmethod
+    def modules_after_cli_import() -> set:
+        """The modules a fresh interpreter holds after ``import spectrend.cli``."""
         src = os.path.dirname(os.path.dirname(spectrend.operator.__file__))
-        code = "import sys, spectrend.cli; print('scipy.sparse.linalg' in sys.modules)"
+        code = "import sys, spectrend.cli; print(' '.join(sys.modules))"
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        return set(out.split())
+
+    def test_cli_import_defers_sparse_linalg(self):
+        assert "scipy.sparse.linalg" not in self.modules_after_cli_import()
+
+    def test_cli_import_leaves_out_scipy_spatial(self):
+        loaded = self.modules_after_cli_import()
+        assert "spectrend.cli" in loaded
+        assert not {name for name in loaded if name.startswith("scipy.spatial")}
 
 
 class TestEigenvalueTable:
