@@ -6,21 +6,22 @@ s-step-forward shift,
 
     S_ij = exp(-||h_i - h_{j+s}||^2 / (d_i d_{j+s})),   i, j = 1..N-s,
 
-and row normalization P_ij = S_ij / sum_j S_ij.  All three steps work on one
-N x N matrix of squared distances between all points, computed once: the
-kernel is packed from its (N-s) x (N-s) block to the front of that matrix's
-buffer, and P is normalized in place over the kernel.  Each step runs in
-blocks of ``_ROW_BLOCK`` rows, so no temporary exceeds that many rows of N
-entries and the build holds one N x N array.
+and row normalization P_ij = S_ij / sum_j S_ij.  The first two steps read
+the (N, dim) cloud in blocks of ``_ROW_BLOCK`` rows: ``knn_bandwidths``
+partitions each block's squared distances to all N points in place, and
+``kernel_matrix`` writes each block's distances to the shifted points straight
+into its rows of a new (N-s) x (N-s) kernel and exponentiates them there.  P
+is normalized in place over the kernel, so the build holds one N x N array.
 
 One NumPy kernel, ``_sqdist_rows``, fills the squared distances a row block
 at a time, in one of two forms chosen by the cloud's dimension.  Up to
 ``_EXACT_DIM`` coordinates it sums (x_k - y_k)^2 one coordinate at a time, in
 order, which rounds as SciPy's ``cdist(..., "sqeuclidean")`` does.  Above it
 it takes the Gram form ||x||^2 + ||y||^2 - 2 x.y as matrix products over
-blocks of ``_COL_BLOCK`` coordinates, each centred on the cloud's mean.
-Best of three, in ms at one BLAS thread on a 2-core Xeon, with the largest
-relative error of an off-diagonal entry against ``cdist``:
+blocks of ``_COL_BLOCK`` coordinates, each centred on the mean of the
+points measured against.  Best of three, in ms at one BLAS thread on a
+2-core Xeon, with the largest relative error of an off-diagonal entry
+against ``cdist``:
 
     cloud                 cdist   per coordinate   Gram form
     model F, 2980 x 3        31       28    0         44   5e-08
@@ -39,9 +40,10 @@ records.  Up to 16 coordinates the exact form costs about 0.1 s at N = 2000
 and keeps such runs' tables byte for byte; beyond, its cost grows with the
 dimension while the Gram form's barely does.  The Gram form's rounding of
 an entry is at most about dim * eps * max ||x - mean||^2.  Every kernel
-exponent divides by d_i d_j, at least the smallest squared bandwidth; where
-the rounding bound exceeds ``_GRAM_TOL`` of that, as near-duplicate points
-make it, the distances are recomputed by the exact form.
+exponent divides by d_i d_j, at least the smallest squared bandwidth.  One
+predicate on it, ``_gram_form``, picks the form of both passes: where the
+rounding bound exceeds ``_GRAM_TOL`` of it, as near-duplicate points make it,
+both take the exact form, the first by recomputing its distances.
 
 P is row stochastic, so
 1 is always an eigenvalue with constant eigenvector; the rest of the dominant
@@ -156,11 +158,11 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
-def _as_sqdist(D2) -> np.ndarray:
-    D2 = np.ascontiguousarray(D2, dtype=float)
-    if D2.ndim != 2 or D2.shape[0] != D2.shape[1]:
-        raise ValueError(f"expected a square matrix of squared distances, got shape {D2.shape}")
-    return D2
+def _as_cloud(pts) -> np.ndarray:
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise ValueError(f"expected an (N, dim) point cloud with dim >= 1, got shape {pts.shape}")
+    return pts
 
 
 def _blocks(n: int, size: int = _ROW_BLOCK):
@@ -168,24 +170,32 @@ def _blocks(n: int, size: int = _ROW_BLOCK):
     return (slice(i, min(i + size, n)) for i in range(0, n, size))
 
 
-def knn_bandwidths(D2, K: int) -> np.ndarray:
-    """Distance from each point to its K-th nearest neighbor (self excluded).
+def knn_bandwidths(pts, K: int) -> np.ndarray:
+    """Distance from each point of the (N, dim) cloud ``pts`` to its K-th
+    nearest neighbor (self excluded), searched over all N points.
 
-    ``D2`` holds the squared distances between all N points, so neighbors
-    are searched over all of them.  A K-th neighbor distance of exactly zero
-    means at least K+1 coincident points and raises NumericalError, since a
-    zero bandwidth makes the kernel undefined; so does an overflowed one.
+    Each block of rows' squared distances is partitioned in place, so no
+    N x N array is made.  A K-th neighbor distance of exactly zero means at
+    least K+1 coincident points and raises NumericalError, since a zero
+    bandwidth makes the kernel undefined; so does an overflowed one.
     """
-    D2 = _as_sqdist(D2)
-    n = len(D2)
+    pts = _as_cloud(pts)
+    n = len(pts)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if K >= n:
         raise ValueError(f"K={K} needs at least K+1={K + 1} points, have {n}")
-    d = np.empty(n)
-    for rows in _blocks(n):
-        d[rows] = np.partition(D2[rows], K, axis=1)[:, K]
-    np.sqrt(d, out=d)
+    d, block = np.empty(n), np.empty((min(_ROW_BLOCK, n), n))
+    with np.errstate(over="ignore"):    # an overflow raises NumericalError below
+        # the exact form follows where the Gram form cannot resolve the bandwidths
+        for gram in (True, False) if pts.shape[1] > _EXACT_DIM else (False,):
+            for rows in _blocks(n):
+                D2 = _sqdist_rows(pts[rows], pts, block[:rows.stop - rows.start], gram)
+                D2.partition(K, axis=1)
+                d[rows] = D2[:, K]
+            np.sqrt(d, out=d)
+            if _gram_form(pts, d.min()):
+                break
     if not np.all(np.isfinite(d)):
         raise NumericalError("squared distances overflow the float range; rescale the data")
     bad = np.flatnonzero(d <= 0.0)
@@ -196,16 +206,16 @@ def knn_bandwidths(D2, K: int) -> np.ndarray:
     return d
 
 
-def kernel_matrix(D2, s: int, bandwidths: np.ndarray) -> np.ndarray:
-    """Gaussian cross-kernel between the cloud and its s-step shift.
+def kernel_matrix(pts, s: int, bandwidths: np.ndarray) -> np.ndarray:
+    """Gaussian cross-kernel between the (N, dim) cloud ``pts`` and its s-step shift.
 
-    ``D2`` holds the squared distances between all N points.  The kernel of
-    its block ``D2[:N-s, s:]`` is packed, C-contiguous, to the front of
-    ``D2``'s own buffer and returned, so a C-contiguous float64 ``D2`` is
-    overwritten.
+    Returns a new C-ordered (N-s) x (N-s) array S with
+    S_ij = exp(-||pts_i - pts_{j+s}||^2 / (d_i d_{j+s})).  Each block of
+    rows' squared distances to ``pts[s:]`` is written straight into its rows
+    of S and exponentiated there, so no other N x N array is made.
     """
-    D2 = _as_sqdist(D2)
-    n_all = len(D2)
+    pts = _as_cloud(pts)
+    n_all = len(pts)
     if s < 0 or s >= n_all:
         raise ValueError(f"forward step s must satisfy 0 <= s < N={n_all}, got {s}")
     d = np.asarray(bandwidths, dtype=float)
@@ -214,14 +224,12 @@ def kernel_matrix(D2, s: int, bandwidths: np.ndarray) -> np.ndarray:
     if np.any(d <= 0):
         raise NumericalError("bandwidths must be strictly positive")
     n = n_all - s
-    S = D2.reshape(-1)[:n * n].reshape(n, n)
-    # Row i moves from offset i*N + s to i*n, leftwards and never onto a row
-    # not yet read, so each block is read whole before its rows are written.
+    gram = _gram_form(pts, d.min())
+    S = np.empty((n, n))
     for rows in _blocks(n):
-        block = np.outer(d[rows], d[s:])
-        np.divide(D2[rows, s:], block, out=block)
-        np.exp(np.negative(block, out=block), out=S[rows])
-        del block    # freed before the next one is allocated
+        block = _sqdist_rows(pts[rows], pts[s:], S[rows], gram)
+        block /= np.outer(d[rows], d[s:])
+        np.exp(np.negative(block, out=block), out=block)
     return S
 
 
@@ -267,8 +275,6 @@ def _sqdist_rows(X: np.ndarray, Y: np.ndarray, out: np.ndarray, gram: bool) -> n
     if not gram:
         YT = np.ascontiguousarray(Y.T)    # as small as the cloud's few coordinates
         tmp = np.empty((min(_CACHE_ROWS, len(X)), len(Y)))
-        if dim == 0:
-            out[...] = 0.0
         for rows in _blocks(len(X), _CACHE_ROWS):
             acc, x = out[rows], X[rows]
             for k in range(dim):
@@ -292,24 +298,20 @@ def _sqdist_rows(X: np.ndarray, Y: np.ndarray, out: np.ndarray, gram: bool) -> n
     return np.maximum(out, 0.0, out=out)
 
 
-def _fill_sqdist(D2: np.ndarray, pts: np.ndarray, gram: bool) -> None:
-    """Squared distances between all points of ``pts`` into D2, a row block at a time."""
-    for rows in _blocks(len(pts)):
-        _sqdist_rows(pts[rows], pts, D2[rows], gram)
-
-
-def _gram_resolves(D2: np.ndarray, pts: np.ndarray, K: int) -> bool:
-    """Whether the Gram form's rounding of squared distances between centred
+def _gram_form(pts: np.ndarray, d_min: float) -> bool:
+    """Whether squared distances take the Gram form: above ``_EXACT_DIM``
+    coordinates, where its rounding of squared distances between centred
     points, at most dim * eps * max ||x - mean||^2 per entry, is within
-    ``_GRAM_TOL`` of the smallest squared K-th neighbor distance in ``D2``,
-    which no kernel exponent's denominator d_i d_j is below."""
-    K = min(K, len(D2) - 1)    # knn_bandwidths judges K
-    kth = min(np.partition(D2[rows], K, axis=1)[:, K].min() for rows in _blocks(len(D2)))
+    ``_GRAM_TOL`` of d_min^2, the smallest squared bandwidth, which no kernel
+    exponent's denominator d_i d_j is below."""
+    dim = pts.shape[1]
+    if dim <= _EXACT_DIM:
+        return False
     norm2 = np.zeros(len(pts))
-    for cols in _blocks(pts.shape[1], _COL_BLOCK):
+    for cols in _blocks(dim, _COL_BLOCK):
         centred = pts[:, cols] - pts[:, cols].mean(axis=0)
         norm2 += np.einsum("ij,ij->i", centred, centred)
-    return pts.shape[1] * np.finfo(float).eps * norm2.max() <= _GRAM_TOL * kth
+    return bool(dim * np.finfo(float).eps * norm2.max() <= _GRAM_TOL * d_min ** 2)
 
 
 def build_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
@@ -325,14 +327,8 @@ def build_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
     e = np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1]
     if abs(e) > 400:
         pts = np.ldexp(pts, -e)
-    D2 = np.empty((len(pts), len(pts)))
-    gram = pts.shape[1] > _EXACT_DIM
-    _fill_sqdist(D2, pts, gram)
-    if gram and not _gram_resolves(D2, pts, K):
-        _fill_sqdist(D2, pts, gram=False)
-    d = knn_bandwidths(D2, K)
-    S = kernel_matrix(D2, s, d)
-    return MarkovOperator(row_stochastic(S), s, emb.dt)
+    d = knn_bandwidths(pts, K)
+    return MarkovOperator(row_stochastic(kernel_matrix(pts, s, d)), s, emb.dt)
 
 
 def _in_mode_order(w: np.ndarray, *vecs):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ import scipy.sparse
 from scipy.spatial.distance import cdist
 
 import spectrend.operator
+from spectrend.data import TimeSeries
 from spectrend.embed import delay_embed
 from spectrend.models import ModelConfig, simulate
 from spectrend.operator import (
@@ -51,64 +53,69 @@ def reference_pairs(w):
 class TestKnnBandwidths:
     def test_line_k1(self):
         pts = np.array([[0.0], [1.0], [3.0]])
-        np.testing.assert_allclose(knn_bandwidths(sqdist(pts), 1), [1.0, 1.0, 2.0])
+        np.testing.assert_allclose(knn_bandwidths(pts, 1), [1.0, 1.0, 2.0])
 
     def test_line_k2(self):
         pts = np.array([[0.0], [1.0], [3.0]])
-        np.testing.assert_allclose(knn_bandwidths(sqdist(pts), 2), [3.0, 2.0, 3.0])
+        np.testing.assert_allclose(knn_bandwidths(pts, 2), [3.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("n, dim, seed, K", [(100, 3, 42, 5), (80, 30, 1, 4)],
                              ids=["dim3", "dim30"])
     def test_matches_brute_force_exactly(self, n, dim, seed, K):
         pts = random_cloud(n, dim, seed=seed)
-        got = knn_bandwidths(sqdist(pts), K)
-        full = cdist(pts, pts)
-        want = np.sort(full, axis=1)[:, K]  # column 0 is the self distance
-        np.testing.assert_array_equal(got, want)
+        got = knn_bandwidths(pts, K)
+        # a full sort of the same squared distances, which above _EXACT_DIM
+        # take the Gram form; column 0 is the self distance
+        gram = dim > spectrend.operator._EXACT_DIM
+        D2 = spectrend.operator._sqdist_rows(pts, pts, np.empty((n, n)), gram)
+        np.testing.assert_array_equal(got, np.sqrt(np.sort(D2, axis=1)[:, K]))
+        # against cdist: its own bits below _EXACT_DIM, within 1e-12 above
+        want = np.sort(cdist(pts, pts), axis=1)[:, K]
+        np.testing.assert_allclose(got, want, rtol=1e-12 if gram else 0.0, atol=0.0)
 
     def test_duplicate_points_raise(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(NumericalError, match="duplicate"):
-            knn_bandwidths(sqdist(pts), 1)
+            knn_bandwidths(pts, 1)
 
     def test_near_duplicates_pass_at_default_tolerance(self):
         pts = np.array([[0.0], [1e-13], [1.0], [2.0]])
-        d = knn_bandwidths(sqdist(pts), 1)
+        d = knn_bandwidths(pts, 1)
         assert np.all(d > 0)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            knn_bandwidths(sqdist(random_cloud(10)), 10)
+            knn_bandwidths(random_cloud(10), 10)
 
     def test_k_too_small(self):
         with pytest.raises(ValueError):
-            knn_bandwidths(sqdist(random_cloud(10)), 0)
+            knn_bandwidths(random_cloud(10), 0)
 
     def test_infinite_distance_raises(self):
-        D2 = np.full((3, 3), np.inf)
-        np.fill_diagonal(D2, 0.0)
+        # every squared distance, about 1e400, overflows to inf
+        pts = np.array([[0.0], [1e200], [-1e200]])
         with pytest.raises(NumericalError, match="overflow"):
-            knn_bandwidths(D2, 1)
+            knn_bandwidths(pts, 1)
 
 
 class TestKernelMatrix:
     def test_zero_distance_entry_is_one(self):
         pts = random_cloud(10)
         d = np.full(10, 0.7)
-        S = kernel_matrix(sqdist(pts), 0, d)
+        S = kernel_matrix(pts, 0, d)
         np.testing.assert_allclose(np.diag(S), 1.0, atol=1e-15)
 
     def test_unit_exponent_entry(self):
         # two points at squared distance d_i * d_j give exp(-1)
         pts = np.array([[0.0], [np.sqrt(6.0)]])
         d = np.array([2.0, 3.0])
-        S = kernel_matrix(sqdist(pts), 0, d)
+        S = kernel_matrix(pts, 0, d)
         assert S[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-15)
 
     def test_matches_direct_formula(self):
         pts = random_cloud(50, 3, seed=3)
-        d = knn_bandwidths(sqdist(pts), 4)
-        S = kernel_matrix(sqdist(pts), 1, d)
+        d = knn_bandwidths(pts, 4)
+        S = kernel_matrix(pts, 1, d)
         n = 49
         assert S.shape == (n, n)
         for i in (0, 17, 48):
@@ -120,27 +127,38 @@ class TestKernelMatrix:
     def test_bad_step(self):
         pts = random_cloud(10)
         with pytest.raises(ValueError):
-            kernel_matrix(sqdist(pts), 10, np.ones(10))
+            kernel_matrix(pts, 10, np.ones(10))
         with pytest.raises(ValueError):
-            kernel_matrix(sqdist(pts), -1, np.ones(10))
+            kernel_matrix(pts, -1, np.ones(10))
 
     def test_bad_bandwidths(self):
         pts = random_cloud(10)
         with pytest.raises(ValueError):
-            kernel_matrix(sqdist(pts), 1, np.ones(9))
+            kernel_matrix(pts, 1, np.ones(9))
         with pytest.raises(NumericalError):
-            kernel_matrix(sqdist(pts), 1, np.zeros(10))
+            kernel_matrix(pts, 1, np.zeros(10))
 
-    def test_non_square_distances_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            knn_bandwidths(np.ones((4, 5)), 1)
-        with pytest.raises(ValueError, match="square"):
-            kernel_matrix(np.ones((4, 5)), 1, np.ones(4))
+    @pytest.mark.parametrize("shape", [(4, 0), (4,), (2, 2, 2)],
+                             ids=["no-coordinates", "1-d", "3-d"])
+    def test_bad_cloud_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            knn_bandwidths(np.ones(shape), 1)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            kernel_matrix(np.ones(shape), 1, np.ones(4))
 
-    def test_built_in_place_on_distances(self):
-        D2 = sqdist(random_cloud(10))
-        S = kernel_matrix(D2, 2, np.full(10, 0.5))
-        assert np.shares_memory(S, D2)
+    def test_zero_coordinate_embedding_is_not_a_duplicate(self):
+        emb = delay_embed(TimeSeries(np.empty((50, 0))), 2, 1)
+        with pytest.raises(ValueError, match=re.escape("got shape (49, 0)")):
+            build_operator(emb, 1, 3)
+
+    def test_inputs_left_unchanged(self):
+        pts = random_cloud(300, 3, seed=2)
+        d = knn_bandwidths(pts, 5)
+        pts_before, d_before = pts.copy(), d.copy()
+        S = kernel_matrix(pts, 2, d)
+        np.testing.assert_array_equal(pts, pts_before)
+        np.testing.assert_array_equal(d, d_before)
+        assert not np.shares_memory(S, pts) and S.flags.c_contiguous
 
     @pytest.mark.parametrize("dim", [3, 30])
     def test_build_operator_computes_distances_once(self, monkeypatch, dim):
@@ -148,14 +166,16 @@ class TestKernelMatrix:
         sqdist_rows = spectrend.operator._sqdist_rows
 
         def spy(X, Y, out, gram):
-            blocks.append((len(X), gram))
+            blocks.append((len(X), len(Y), gram))
             return sqdist_rows(X, Y, out, gram)
 
         monkeypatch.setattr(spectrend.operator, "_sqdist_rows", spy)
         build_operator(delay_embed(random_cloud(300, dim), 1, 1), 1, 5)
-        # each point's row of distances is computed once, on one path
-        assert [rows for rows, _gram in blocks] == [256, 44]
-        assert {gram for _rows, gram in blocks} == {dim > spectrend.operator._EXACT_DIM}
+        # each pass computes each of its rows once, on one path: the
+        # bandwidths' against all 300 points, the kernel's against pts[1:]
+        assert [(rows, cols) for rows, cols, _gram in blocks] == [
+            (256, 300), (44, 300), (256, 299), (43, 299)]
+        assert {gram for *_shape, gram in blocks} == {dim > spectrend.operator._EXACT_DIM}
 
 
 class TestSquaredDistances:
@@ -163,9 +183,7 @@ class TestSquaredDistances:
 
     @staticmethod
     def filled(pts, gram):
-        D2 = np.empty((len(pts), len(pts)))
-        spectrend.operator._fill_sqdist(D2, pts, gram)
-        return D2
+        return spectrend.operator._sqdist_rows(pts, pts, np.empty((len(pts), len(pts))), gram)
 
     @pytest.mark.parametrize("n, dim", [(600, 3), (300, 5), (120, 16)])
     def test_low_dimension_has_cdist_bits(self, n, dim):
@@ -211,7 +229,7 @@ class TestRowStochastic:
         np.testing.assert_allclose(P, [[0.5, 0.5], [0.25, 0.75]])
 
     def test_rows_sum_to_one(self):
-        S = kernel_matrix(sqdist(random_cloud(50)), 1, np.full(50, 0.5))
+        S = kernel_matrix(random_cloud(50), 1, np.full(50, 0.5))
         P = row_stochastic(S)
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(P >= 0)
@@ -225,7 +243,7 @@ class TestRowStochastic:
             row_stochastic(np.array([[1.0, 1.0], [np.nan, 1.0]]))
 
     def test_leading_eigenvalue_one_constant_vector(self):
-        S = kernel_matrix(sqdist(random_cloud(50, seed=5)), 1, np.full(50, 0.5))
+        S = kernel_matrix(random_cloud(50, seed=5), 1, np.full(50, 0.5))
         dec = eigendecompose(MarkovOperator(row_stochastic(S), 1), 5)
         assert abs(dec.eigenvalues[0] - 1.0) < 1e-10
         v1 = dec.right_vectors[:, 0]
@@ -302,18 +320,18 @@ class TestEigendecompose:
 
     def test_residuals_small_on_random_operator(self):
         pts = random_cloud(80, seed=7)
-        S = kernel_matrix(sqdist(pts), 1, knn_bandwidths(sqdist(pts), 6))
+        S = kernel_matrix(pts, 1, knn_bandwidths(pts, 6))
         dec = eigendecompose(MarkovOperator(row_stochastic(S), 1), 10)
         assert np.all(dec.residuals < 1e-8)
         assert np.all(dec.dual_residuals < 1e-8)
 
     def test_spectral_radius_bounded(self):
-        S = kernel_matrix(sqdist(random_cloud(60, seed=8)), 2, np.full(60, 0.4))
+        S = kernel_matrix(random_cloud(60, seed=8), 2, np.full(60, 0.4))
         dec = eigendecompose(MarkovOperator(row_stochastic(S), 2))
         assert np.all(np.abs(dec.eigenvalues) <= 1.0 + 1e-8)
 
     def test_spectrum_closed_under_conjugation(self):
-        S = kernel_matrix(sqdist(random_cloud(60, seed=9)), 1, np.full(60, 0.3))
+        S = kernel_matrix(random_cloud(60, seed=9), 1, np.full(60, 0.3))
         dec = eigendecompose(MarkovOperator(row_stochastic(S), 1), 15)
         for j in range(dec.n_modes):
             lam = dec.eigenvalues[j]
@@ -324,13 +342,13 @@ class TestEigendecompose:
 
     def test_pairs_match_reference_loop(self):
         for seed in range(12, 17):
-            S = kernel_matrix(sqdist(random_cloud(60, seed=seed)), 1, np.full(60, 0.3))
+            S = kernel_matrix(random_cloud(60, seed=seed), 1, np.full(60, 0.3))
             dec = eigendecompose(MarkovOperator(row_stochastic(S), 1), 15)
             assert np.any(dec.pair_index >= 0)
             np.testing.assert_array_equal(dec.pair_index, reference_pairs(dec.eigenvalues))
 
     def test_biorthogonality(self):
-        S = kernel_matrix(sqdist(random_cloud(70, seed=10)), 1, np.full(70, 0.3))
+        S = kernel_matrix(random_cloud(70, seed=10), 1, np.full(70, 0.3))
         dec = eigendecompose(MarkovOperator(row_stochastic(S), 1), 8)
         assert not dec.degenerate
         G = dec.dual_vectors.conj().T @ dec.right_vectors
@@ -341,7 +359,7 @@ class TestEigendecompose:
     def test_matches_dense_oracle_spectrum(self):
         # production path vs plain dense eigenvalue call, compared as
         # sorted moduli
-        S = kernel_matrix(sqdist(random_cloud(150, seed=11)), 1, np.full(150, 0.35))
+        S = kernel_matrix(random_cloud(150, seed=11), 1, np.full(150, 0.35))
         op = MarkovOperator(row_stochastic(S), 1)
         dec = eigendecompose(op)
         oracle = np.sort(np.abs(np.linalg.eigvals(op.P)))[::-1]
@@ -390,7 +408,7 @@ class TestKrylovPath:
     def kernel_operator(seed):
         pts = random_cloud(301, 3, seed=seed)
         return MarkovOperator(
-            row_stochastic(kernel_matrix(sqdist(pts), 1, knn_bandwidths(sqdist(pts), 8))), 1)
+            row_stochastic(kernel_matrix(pts, 1, knn_bandwidths(pts, 8))), 1)
 
     @staticmethod
     def assert_matches_dense(dec, op):
@@ -542,7 +560,7 @@ class TestKrylovPath:
 
     def test_row_stochastic_flushes_entries_below_eps(self):
         pts = two_cluster_cloud()
-        S = kernel_matrix(sqdist(pts), 1, knn_bandwidths(sqdist(pts), 5))
+        S = kernel_matrix(pts, 1, knn_bandwidths(pts, 5))
         eps = np.finfo(float).eps
         raw = S / S.sum(axis=1)[:, None]
         assert np.any((raw > 0) & (raw < eps))
@@ -576,10 +594,9 @@ class TestRowBlockedBuild:
         else:
             pts = two_cluster_cloud()
         d_ref, S_ref, P_ref = self.reference(pts, s, 5)
-        D2 = sqdist(pts)
-        d = knn_bandwidths(D2, 5)
+        d = knn_bandwidths(pts, 5)
         np.testing.assert_array_equal(d, d_ref)
-        S = kernel_matrix(D2, s, d)
+        S = kernel_matrix(pts, s, d)
         np.testing.assert_array_equal(S, S_ref)
         P = row_stochastic(S)
         assert P is S and P.flags.c_contiguous
@@ -587,8 +604,9 @@ class TestRowBlockedBuild:
         np.testing.assert_array_equal(build_operator(delay_embed(pts, 1, 1), s, 5).P, P_ref)
 
     def test_build_holds_one_distance_matrix(self):
-        # NumPy reports its buffers to tracemalloc; the cdist output is the
-        # one N x N array, every other temporary is a block of rows
+        # NumPy reports its buffers to tracemalloc; the kernel, normalized in
+        # place into P, is the one N x N array, every other temporary is a
+        # block of rows
         emb = delay_embed(random_cloud(1200, 3, seed=23), 1, 1)
         tracemalloc.start()
         try:
