@@ -44,12 +44,21 @@ _ANOMALY = ('{"window": [start, stop], "cycle": n}',
             and type(v["cycle"]) is int and type(v["window"]) is list
             and list(map(type, v["window"])) == [int, int])
 
+# source.kind -> the source keys that kind reads; a config that sets any
+# other source key fails validation
+_SOURCE_READS = {
+    "synthetic": {"kind", "model"},
+    "scalar": {"kind", "path", "time_col", "value_col", "header_rows", "t_start", "t_end",
+               "dt", "reverse_time"},
+    "field": {"kind", "path", "sentinel"},
+}
+
 # section -> key -> (kind,) or (kind, default).  A key without a default
 # reaches the resolved config only when the config file sets it, except a
 # synthetic source's model, which _validate completes.
 _SCHEMA = {
     "source": {
-        "kind": (("synthetic|scalar|field", lambda v: v in ("synthetic", "scalar", "field")),
+        "kind": (("|".join(_SOURCE_READS), lambda v: type(v) is str and v in _SOURCE_READS),
                  "synthetic"),
         "model": (("a JSON object", lambda v: type(v) is dict),),
         "path": (_STRING,),
@@ -64,30 +73,25 @@ _SCHEMA = {
     "output": {"dir": (_STRING,)},
 }
 
-# source.kind -> the source keys that kind reads; a config that sets any
-# other source key fails validation
-_SOURCE_READS = {
-    "synthetic": {"kind", "model"},
-    "scalar": {"kind", "path", "time_col", "value_col", "header_rows", "t_start", "t_end",
-               "dt", "reverse_time"},
-    "field": {"kind", "path", "sentinel"},
-}
-
 
 def indices(text) -> list:    # --indices' type; a bad value is an "invalid indices value"
     return [int(tok) for tok in text.split(",") if tok]
 
 
+# switching? -> the model kinds, "F/Fprime" or "M/A", that a model flag's help names
+_KIND_NAMES = {s: "/".join(k for k, v in models._KINDS.items() if v[1] == s) for s in (True, False)}
+
 # command line flag -> (config section, key, type, help); section "model" is
 # the source's model, and --config, with no section, names the config file
 _FLAGS = {
     "config": (None, None, str, "JSON run configuration"),
-    "model": ("model", "kind", str, "synthetic model kind (M, A, F, Fprime)"),
+    "model": ("model", "kind", str, f"synthetic model kind ({', '.join(models._KINDS)})"),
     "steps": ("model", "n_steps", int, "synthetic run length"),
     "seed": ("model", "seed", int, "synthetic seed"),
     "out": ("output", "dir", str, f"output directory (default ${ENV_OUT} or ./spectrend_out)"),
-    "drift": ("model", "drift", str, "drift preset for kinds M/A (linear|quadratic)"),
-    "delta": ("model", "delta", float, "switching parameter for kinds F/Fprime"),
+    "drift": ("model", "drift", str,
+              f"drift preset for kinds {_KIND_NAMES[False]} ({'|'.join(models._DRIFTS)})"),
+    "delta": ("model", "delta", float, f"switching parameter for kinds {_KIND_NAMES[True]}"),
     "Q": ("embedding", "Q", int, "number of delays"),
     "lag": ("embedding", "lag", int, "delay lag (sampling intervals)"),
     "step": ("operator", "step", int, "operator forward step"),
@@ -139,11 +143,11 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _validate(cfg, model_flags):
+def _validate(cfg):
     """Judge every value by its kind, then the source keys against those its
-    kind reads.  A synthetic source's model takes the default kind F and the
-    model flags, and its ``ModelConfig`` is returned; any other source needs
-    an existing path, and None is returned."""
+    kind reads.  A synthetic source's model is judged by ``ModelConfig``,
+    whose resolved kind is written back into it, and is returned; any other
+    source needs an existing path, and None is returned."""
     for name, keys in _SCHEMA.items():
         for key, ((kind, test), *_default) in keys.items():
             if key in cfg[name] and not test(cfg[name][key]):
@@ -153,13 +157,15 @@ def _validate(cfg, model_flags):
     if unread:
         raise ValueError(f"source.kind {src['kind']!r} does not read source key(s) {unread}")
     if src["kind"] == "synthetic":
-        src["model"] = {"kind": "F", **src.get("model", {}), **model_flags}
+        model = src.setdefault("model", {})
         names = [field.name for field in dataclasses.fields(models.ModelConfig)]
-        unknown = sorted(src["model"].keys() - set(names))
+        unknown = sorted(model.keys() - set(names))
         if unknown:
             raise ValueError(f"unknown model parameter {unknown[0]!r}; "
                              f"valid names are {', '.join(names)}")
-        return models.ModelConfig(**src["model"])
+        config = models.ModelConfig(**model)
+        model["kind"] = config.kind
+        return config
     if "path" not in src:
         raise ValueError(f"source.kind {src['kind']!r} needs source.path")
     if not os.path.exists(src["path"]):
@@ -175,21 +181,20 @@ def _configure(args):
     file_cfg = _run_stage("config", load_config, args.config) if args.config else {}
     for name, section in file_cfg.items():
         cfg[name].update(section)
-    model_flags = {}
     for flag, (section, key, _type, _help) in _FLAGS.items():
         val = getattr(args, flag, None)
         if section is None or val is None:
             continue
         if section != "model":
             cfg[section][key] = val
-        elif cfg["source"]["kind"] == "synthetic":
-            model_flags[key] = val
-        else:
+        elif cfg["source"]["kind"] != "synthetic":
             raise StageError("config", ValueError(
                 f"--{flag} sets the synthetic model, but source.kind is "
                 f"{cfg['source']['kind']!r}"))
+        elif type(cfg["source"].setdefault("model", {})) is dict:    # _validate rejects others
+            cfg["source"]["model"][key] = val
     cfg["output"].setdefault("dir", os.environ.get(ENV_OUT) or "spectrend_out")
-    return cfg, _run_stage("validate", _validate, cfg, model_flags)
+    return cfg, _run_stage("validate", _validate, cfg)
 
 
 def _load_source(cfg, model) -> data.TimeSeries:

@@ -36,11 +36,13 @@ TWO_PI = 2.0 * math.pi
 #: frequency regimes within the default 2000 steps.
 DEFAULT_SEED = 11
 
-_KINDS = ("M", "A", "F", "Fprime")
+# kind -> (default run length, switching?): the drifting helices resolve in
+# 1000 steps, the switching models want at least one metastable transition
+_KINDS = {"M": (1000, False), "A": (1000, False), "F": (2000, True), "Fprime": (2000, True)}
 
-# default run lengths per kind (drifting helices resolve in 1000 steps,
-# the switching models want at least one metastable transition)
-_DEFAULT_STEPS = {"M": 1000, "A": 1000, "F": 2000, "Fprime": 2000}
+# past 2**52 in magnitude a float's spacing reaches 1, so a phase there makes
+# cos(theta) noise, and a drift coordinate there swamps x + cos(theta)
+_MAX_REACH = 2.0 ** 52
 
 
 def tent_map_step(x: float, delta: float) -> float:
@@ -90,22 +92,25 @@ def switching_weight(x: float, c: float):
     return 0.5 * (1.0 + np.tanh(c * (np.asarray(x, dtype=float) - 0.5)))
 
 
-def linear_drift(n_steps: int, span: float = 10.0) -> tuple:
-    """Increment coefficients for a linear mean drift covering ``span``."""
-    return (span / n_steps, 0.0, 0.0)
+def linear_drift(n_steps: int) -> tuple:
+    """Increment coefficients for a linear mean drift covering 10 over the run."""
+    return (10.0 / n_steps, 0.0, 0.0)
 
 
-def quadratic_drift(n_steps: int, peak: float = 10.0, t_peak_frac: float = 0.65) -> tuple:
+def quadratic_drift(n_steps: int) -> tuple:
     """Increment coefficients for an asymmetric rise-then-fall drift.
 
     The accumulated drift x(t) follows a downward parabola that rises from 0
-    to ``peak`` at ``t_peak_frac * n_steps`` and falls off afterwards.
+    to 10 at ``0.65 * n_steps`` and falls off afterwards.
     """
-    tp = t_peak_frac * n_steps
-    c1 = 2.0 * peak / tp
+    tp = 0.65 * n_steps
+    c1 = 20.0 / tp
     c2 = -c1 / (2.0 * tp)
     # x(t) = c1 t + c2 t^2  =>  increment d(t) = x(t+1) - x(t) = (c1 + c2) + 2 c2 t
     return (c1 + c2, 2.0 * c2, 0.0)
+
+
+_DRIFTS = {"linear": linear_drift, "quadratic": quadratic_drift}    # preset -> coefficients
 
 
 def _is_real(value) -> bool:
@@ -119,9 +124,19 @@ def _is_finite(value) -> bool:
     return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
 
 
+def _check_reach(terms: dict, coordinate: str) -> None:
+    """Reject a coordinate whose bound, the sum of its named terms, reaches
+    ``_MAX_REACH``, naming the field of the largest term."""
+    reach = sum(terms.values())
+    if reach >= _MAX_REACH:
+        raise ValueError(f"{max(terms, key=terms.get)} must be smaller in magnitude: the "
+                         f"{coordinate} can reach {reach:.3g} over the run, past 2**52, where "
+                         "a float's spacing reaches 1")
+
+
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
-    """Parameters of one synthetic run.
+    """Parameters of one synthetic run, of kind F unless ``kind`` says otherwise.
 
     ``drift`` applies to kinds M/A and is either a named preset
     (``"linear"`` or ``"quadratic"``, resolved against ``n_steps``) or a
@@ -130,9 +145,18 @@ class ModelConfig:
     calibrated so the accumulated drift spans roughly ten oscillation
     amplitudes over the run, matching the helix proportions the analysis
     expects.
+
+    A config whose phase can reach 2**52 in magnitude during the run, or, for
+    kind M, whose drift coordinate can, is rejected with a ``ValueError``
+    naming the field: there a float's spacing reaches 1, so ``cos(theta)`` is
+    noise and ``x + cos(theta)`` loses the cosine.  The bounds come from the
+    config alone: a phase reaches at most ``|start| + n_steps * max|rate|``
+    (for Fprime, whose phases count cycles, 2 pi times that many cycles), and
+    kind M's drift coordinate at most ``|x0|`` plus the absolute sum of its
+    increments.
     """
 
-    kind: str = "M"
+    kind: str = "F"
     n_steps: Optional[int] = None
     alpha: float = 0.1
     alpha1: float = TWO_PI / 40.0
@@ -147,9 +171,10 @@ class ModelConfig:
     theta2_0: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {_KINDS}")
-        steps = self.n_steps if self.n_steps is not None else _DEFAULT_STEPS[self.kind]
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {tuple(_KINDS)}")
+        default_steps, switching = _KINDS[self.kind]
+        steps = self.n_steps if self.n_steps is not None else default_steps
         if type(steps) is not int or steps <= 0 or not _is_finite(steps):    # rejects bool
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", steps)
@@ -164,15 +189,15 @@ class ModelConfig:
             if not _is_finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if isinstance(self.drift, str):
-            if self.drift not in ("linear", "quadratic"):
+            if self.drift not in _DRIFTS:
                 raise ValueError(f"unknown drift preset {self.drift!r}")
         else:
             coeffs = tuple(self.drift) if isinstance(self.drift, (list, tuple, np.ndarray)) else ()
             if len(coeffs) != 3 or not all(_is_real(v) and _is_finite(v) for v in coeffs):
-                raise ValueError("drift must be 'linear', 'quadratic' or a (d0, d1, d2) triple "
-                                 f"of finite numbers, got {self.drift!r}")
+                raise ValueError(f"drift must be {', '.join(map(repr, _DRIFTS))} or a (d0, d1, d2) "
+                                 f"triple of finite numbers, got {self.drift!r}")
             object.__setattr__(self, "drift", tuple(float(v) for v in coeffs))
-        if self.kind in ("F", "Fprime"):
+        if switching:
             if not 0.0 < self.delta < 1.0:
                 raise ValueError(f"delta must lie in (0,1), got {self.delta!r}")
             if self.alpha1 == self.alpha2:
@@ -181,13 +206,24 @@ class ModelConfig:
                 raise ValueError(f"sharpness c must be positive, got {self.c!r}")
             if self.x0 is not None and not 0.0 <= self.x0 <= 1.0:
                 raise ValueError(f"x0 must lie in [0,1] for kind {self.kind}, got {self.x0!r}")
+        # each phase as (scale, start, rates); Fprime's phases count cycles
+        if self.kind == "Fprime":
+            phases = [(TWO_PI, "theta0", ("alpha1",)), (TWO_PI, "theta2_0", ("alpha2",))]
+        else:
+            phases = [(1.0, "theta0", ("alpha1", "alpha2") if switching else ("alpha",))]
+        for scale, start, rates in phases:
+            rate = max(rates, key=lambda name: abs(getattr(self, name)))
+            _check_reach({start: scale * abs(float(getattr(self, start))),
+                          rate: steps * abs(float(getattr(self, rate)))}, "phase")
+        if self.kind == "M":
+            m = float(steps - 1)    # increments, at t = 0 .. m - 1
+            sums = (m, m * (m - 1.0) / 2.0, m * (m - 1.0) * (2.0 * m - 1.0) / 6.0)
+            _check_reach({"x0": abs(float(self.x0 or 0.0)),
+                          "drift": sum(abs(d) * s for d, s in zip(self.drift_coefficients(), sums)
+                                       if d)}, "drift coordinate")
 
     def drift_coefficients(self) -> tuple:
-        if self.drift == "linear":
-            return linear_drift(self.n_steps)
-        if self.drift == "quadratic":
-            return quadratic_drift(self.n_steps)
-        return self.drift
+        return _DRIFTS[self.drift](self.n_steps) if isinstance(self.drift, str) else self.drift
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,14 +237,6 @@ class Trajectory:
     @property
     def x(self) -> np.ndarray:
         return self.states[:, 0]
-
-
-def _resolve_x0(config: ModelConfig) -> float:
-    if config.x0 is not None:
-        return float(config.x0)
-    if config.kind in ("M", "A"):
-        return 0.0
-    return float(np.random.default_rng(config.seed).random())
 
 
 def _running_sum(start, inc, n: int) -> np.ndarray:
@@ -226,12 +254,13 @@ def simulate(config: ModelConfig) -> Trajectory:
     runs bitwise reproducible regardless of accumulation order tricks.
     """
     n = config.n_steps
-    switching = config.kind in ("F", "Fprime")
+    _steps, switching = _KINDS[config.kind]
     if not switching:
         d0, d1, d2 = config.drift_coefficients()
     # the driver coordinate: the interval map for F/Fprime, a drift for M/A
     x = np.empty(n)
-    xv = _resolve_x0(config)
+    xv = (float(config.x0) if config.x0 is not None
+          else float(np.random.default_rng(config.seed).random()) if switching else 0.0)
     for t in range(n):
         x[t] = xv
         xv = tent_map_step(xv, config.delta) if switching else xv + d0 + d1 * t + d2 * t * t
@@ -268,7 +297,7 @@ def regime_mask(trajectory: Trajectory) -> np.ndarray:
     Only meaningful for kinds F/Fprime, where the first state column is the
     metastable drive.
     """
-    if trajectory.config.kind not in ("F", "Fprime"):
+    if not _KINDS[trajectory.config.kind][1]:
         raise ValueError("regime_mask applies to the switching kinds only")
     return trajectory.x > 0.5
 

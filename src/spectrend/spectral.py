@@ -63,7 +63,10 @@ def classify_modes(dec: SpectralDecomposition, observations) -> list:
     Y_j is the coefficient of ``observations``, an (n,) array aligned to the
     operator's rows by ``EmbeddedSeries.align``, in the biorthogonal expansion.
     Conjugate pairs are reported once, through their positive-frequency
-    member, which ``pair_index`` places first.
+    member, which ``pair_index`` places first.  Mode 1 is tagged ``constant``,
+    a pair ``oscillatory`` and any other mode ``trend``, which so means
+    "nontrivial real"; ``trend_mode`` returns the first such mode, the
+    paper's lambda_2 eigenvector.
     """
     h = _target_array(observations, dec.right_vectors.shape[0], "observations")
     if h.ndim != 1:

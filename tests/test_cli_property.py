@@ -109,6 +109,7 @@ def workdir(tmp_path, monkeypatch):
 @example(command="reconstruct", cfg={"source": {"kind": "field", "path": "stack.txt"}})
 @example(command="analyze", cfg={"source": {"model": {"n_steps": 100}}})
 @example(command="analyze", cfg={"source": {"model": {"n_steps": 5, "alpha1": 10**400}}})
+@example(command="analyze", cfg={"source": {"model": {"n_steps": 5, "theta0": 1e300}}})
 @example(command="synth", cfg={"source": {"model": {"kind": "M", "n_steps": 10**400}}})
 def test_random_config_exits_cleanly(stub_pipeline, workdir, capsys, command, cfg):  # noqa: F811
     (workdir / "run.json").write_text(json.dumps(cfg))

@@ -158,6 +158,9 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(kind="M", n_steps=0)
 
+    def test_default_kind_is_f(self):
+        assert ModelConfig().kind == "F"
+
     def test_default_lengths(self):
         assert ModelConfig(kind="M").n_steps == 1000
         assert ModelConfig(kind="F").n_steps == 2000
@@ -192,6 +195,10 @@ class TestModelConfig:
         {"kind": "M", "alpha": float("nan")},
         {"kind": "F", "alpha1": float("inf")},
         {"kind": "Fprime", "theta2_0": float("-inf")},
+        # finite, but past 2**52 a phase or kind M's drift coordinate is noise
+        {"theta0": 1e300},
+        {"kind": "M", "x0": 1e300},
+        {"alpha1": 1e300},
     ])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, model):
         # JSON NaN and Infinity parse to floats, so they reach ModelConfig
@@ -202,6 +209,29 @@ class TestModelConfig:
         name = "unknown drift preset" if model[field] == "cubic" else f"{field} must be"
         err = capsys.readouterr().err
         assert err.startswith(f"error [validate] {name}") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("model, field", [
+        ({"kind": "M", "theta0": 2.0**52}, "theta0"),
+        ({"kind": "A", "alpha": 2.0**52 / 100}, "alpha"),
+        ({"kind": "F", "alpha2": -(2.0**52) / 100}, "alpha2"),
+        ({"kind": "Fprime", "theta2_0": 2.0**50}, "theta2_0"),    # 2 pi * 2**50 cycles
+        ({"kind": "M", "x0": -(2.0**52)}, "x0"),
+        ({"kind": "M", "drift": (0.0, 0.0, 2e10)}, "drift"),      # 2e10 * sum(t^2, t < 99)
+    ])
+    def test_rejects_coordinate_reaching_2_52(self, model, field):
+        with pytest.raises(ValueError, match=f"^{field} must be smaller"):
+            ModelConfig(n_steps=100, **model)
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "M", "theta0": 2.0**51},
+        {"kind": "F", "theta0": 2.0**50},
+        {"kind": "Fprime", "theta2_0": 2.0**49},
+        {"kind": "A", "x0": 1e300, "drift": (0.0, 0.0, 2e10)},    # A's drift only scales
+        {"kind": "F", "drift": (0.0, 0.0, 1e300)},                # F has no drift
+    ])
+    def test_accepts_coordinate_below_2_52(self, model):
+        ModelConfig(n_steps=100, **model)
 
     def test_numpy_scalars_accepted(self):
         plain = ModelConfig(kind="F", n_steps=200, seed=3, x0=0.25, alpha1=0.2)

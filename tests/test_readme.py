@@ -1,6 +1,7 @@
 """The README's examples run as written."""
 
 import ast
+import inspect
 import json
 import pathlib
 import re
@@ -8,7 +9,7 @@ import shlex
 
 import numpy as np
 
-from spectrend import cli
+from spectrend import cli, data, models
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -47,16 +48,31 @@ def test_command_lines_run(tmp_path, monkeypatch):
 
 
 def test_config_table_lists_every_schema_key():
-    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| .*? \| (.*?) \| .*? \|$", README, flags=re.M)
-    listed = [(name, key) for name, key, _read_by in rows]
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| .*? \| (.*?) \| (.*?) \|$", README, flags=re.M)
+    listed = [(name, key) for name, key, _read_by, _default in rows]
     assert len(listed) == len(set(listed))
     assert set(listed) == {(name, key) for name, keys in cli._SCHEMA.items() for key in keys}
     # a source key's "read by" cell names the source kinds that read it
-    for name, key, read_by in rows:
+    for name, key, read_by, _default in rows:
         if name == "source":
             kinds = set(cli._SOURCE_READS) if read_by == "every kind" else set(
                 re.findall(r"`(\w+)`", read_by))
             assert kinds == {kind for kind, reads in cli._SOURCE_READS.items() if key in reads}, key
+    # the default cell states the schema's default: an integer, or a string or JSON in backticks
+    defaults = {(name, key): default for name, key, _read_by, default in rows}
+    for name, keys in cli._SCHEMA.items():
+        for key, (_kind, *default) in keys.items():
+            if default:
+                (value,) = default
+                expected = (str(value) if type(value) is int
+                            else f"`{value if type(value) is str else json.dumps(value)}`")
+                assert defaults[name, key] == expected, (name, key)
+    # the model a synthetic source completes, and the scalar reader's own defaults
+    kind = json.dumps({"kind": models.ModelConfig.kind})
+    assert defaults["source", "model"] == f"`{kind}` (a synthetic source only)"
+    reader = inspect.signature(data.load_scalar_record).parameters
+    for key in ("time_col", "value_col", "header_rows"):
+        assert defaults["source", key] == str(reader[key].default), key
 
 
 def test_stage_table_lists_every_stage_tag():
