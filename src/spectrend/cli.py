@@ -9,15 +9,18 @@ Subcommands:
 
 Configuration comes from a JSON file (--config) with sections ``source``,
 ``preprocess``, ``embedding``, ``operator``, ``reconstruct`` and ``output``;
-command line flags override config fields; every value, a synthetic
-model's included, is judged under ``[validate]``.  Every analysis run writes
-the resolved config, ``run_config.json``, which as --config replays the run.
+command line flags override config fields.  Before any input is read,
+``[validate]`` judges each value, and each source key and model parameter
+against what its kind reads; a few values, such as ``source.dt`` and an
+anomaly window, only the stage that uses them judges.  Every analysis run
+writes the resolved config, ``run_config.json``, which as --config replays it.
 Exit status: 0 on success, 3 on a numerical failure (``NumericalError``)
 and 2 on any fault of the command line, config or input, a number no float
 can hold included.  Every such failure prints one ``error [stage] message``
 line to stderr, and ``main`` returns its exit status; a command line that
 argparse rejects is a ``[config]`` failure, and only ``--help`` raises
-``SystemExit``.  Any other exception is a bug and ends in a traceback.
+``SystemExit``.  Any other exception is a bug and ends in a traceback.  A
+warning a stage raises prints as one ``warning [stage] message`` line.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 from . import _table, data, embed, models, operator, spectral
 
@@ -79,7 +83,8 @@ def indices(text) -> list:    # --indices' type; a bad value is an "invalid indi
 
 
 # switching? -> the model kinds, "F/Fprime" or "M/A", that a model flag's help names
-_KIND_NAMES = {s: "/".join(k for k, v in models._KINDS.items() if v[1] == s) for s in (True, False)}
+_KIND_NAMES = {s: "/".join(k for k in models._KINDS if (k in models._SWITCHING) == s)
+               for s in (True, False)}
 
 # command line flag -> (config section, key, type, help); section "model" is
 # the source's model, and --config, with no section, names the config file
@@ -115,11 +120,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _run_stage(stage, fn, /, *args, **kwargs):
-    """Run one pipeline stage, tagging failures with the stage name."""
-    try:
-        return fn(*args, **kwargs)
-    except (ValueError, OSError, MemoryError, operator.NumericalError) as exc:
-        raise StageError(stage, exc) from exc
+    """Run one pipeline stage, tagging failures and warnings with the stage name.
+
+    Each warning the warning filters let through prints to stderr as one
+    ``warning [stage] message`` line, also when the stage then fails; a
+    filter that makes a warning an error still raises it."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return fn(*args, **kwargs)
+        except (ValueError, OSError, MemoryError, operator.NumericalError) as exc:
+            raise StageError(stage, exc) from exc
+        finally:
+            for warning in caught:
+                print(f"warning [{stage}] {warning.message}", file=sys.stderr)
 
 
 def load_config(path) -> dict:
@@ -164,6 +177,9 @@ def _validate(cfg):
             raise ValueError(f"unknown model parameter {unknown[0]!r}; "
                              f"valid names are {', '.join(names)}")
         config = models.ModelConfig(**model)
+        if unread := sorted(model.keys() - {"kind", "n_steps"} - models._KINDS[config.kind][1]):
+            raise ValueError(f"model kind {config.kind!r} does not read "
+                             f"model parameter(s) {unread}")
         model["kind"] = config.kind
         return config
     if "path" not in src:

@@ -36,9 +36,13 @@ TWO_PI = 2.0 * math.pi
 #: frequency regimes within the default 2000 steps.
 DEFAULT_SEED = 11
 
-# kind -> (default run length, switching?): the drifting helices resolve in
-# 1000 steps, the switching models want at least one metastable transition
-_KINDS = {"M": (1000, False), "A": (1000, False), "F": (2000, True), "Fprime": (2000, True)}
+# kind -> (default run length, fields read besides kind and n_steps).  The kinds
+# that read delta switch, and their default run holds a metastable transition
+_KINDS = {"M": (1000, {"alpha", "drift", "x0", "theta0"}),
+          "A": (1000, {"alpha", "drift", "x0", "theta0", "a"}),
+          "F": (2000, {"alpha1", "alpha2", "delta", "c", "seed", "x0", "theta0"}),
+          "Fprime": (2000, {"alpha1", "alpha2", "delta", "c", "seed", "x0", "theta0", "theta2_0"})}
+_SWITCHING = {kind for kind, (_steps, reads) in _KINDS.items() if "delta" in reads}
 
 # past 2**52 in magnitude a float's spacing reaches 1, so a phase there makes
 # cos(theta) noise, and a drift coordinate there swamps x + cos(theta)
@@ -138,13 +142,13 @@ def _check_reach(terms: dict, coordinate: str) -> None:
 class ModelConfig:
     """Parameters of one synthetic run, of kind F unless ``kind`` says otherwise.
 
-    ``drift`` applies to kinds M/A and is either a named preset
-    (``"linear"`` or ``"quadratic"``, resolved against ``n_steps``) or a
-    coefficient triple ``(d0, d1, d2)`` giving the per-step increment
-    ``d(t) = d0 + d1 t + d2 t^2`` of the drift coordinate.  The presets are
-    calibrated so the accumulated drift spans roughly ten oscillation
-    amplitudes over the run, matching the helix proportions the analysis
-    expects.
+    Besides ``kind`` and ``n_steps``, kind M reads ``alpha``, ``drift``, ``x0``
+    and ``theta0``, A those and ``a``, F ``alpha1``, ``alpha2``, ``delta``,
+    ``c``, ``seed``, ``x0`` and ``theta0``, and Fprime those and ``theta2_0``.
+    Each value is judged, read or not.  ``drift`` is a triple ``(d0, d1, d2)``,
+    the drift coordinate growing by ``d0 + d1 t + d2 t^2`` at step t, or a
+    preset, ``"linear"`` or ``"quadratic"``, spanning about ten oscillation
+    amplitudes over ``n_steps``, the helix proportions the analysis expects.
 
     A config whose phase can reach 2**52 in magnitude during the run, or, for
     kind M, whose drift coordinate can, is rejected with a ``ValueError``
@@ -173,8 +177,8 @@ class ModelConfig:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {tuple(_KINDS)}")
-        default_steps, switching = _KINDS[self.kind]
-        steps = self.n_steps if self.n_steps is not None else default_steps
+        switching = self.kind in _SWITCHING
+        steps = self.n_steps if self.n_steps is not None else _KINDS[self.kind][0]
         if type(steps) is not int or steps <= 0 or not _is_finite(steps):    # rejects bool
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", steps)
@@ -254,7 +258,7 @@ def simulate(config: ModelConfig) -> Trajectory:
     runs bitwise reproducible regardless of accumulation order tricks.
     """
     n = config.n_steps
-    _steps, switching = _KINDS[config.kind]
+    switching = config.kind in _SWITCHING
     if not switching:
         d0, d1, d2 = config.drift_coefficients()
     # the driver coordinate: the interval map for F/Fprime, a drift for M/A
@@ -297,16 +301,16 @@ def regime_mask(trajectory: Trajectory) -> np.ndarray:
     Only meaningful for kinds F/Fprime, where the first state column is the
     metastable drive.
     """
-    if not _KINDS[trajectory.config.kind][1]:
+    if trajectory.config.kind not in _SWITCHING:
         raise ValueError("regime_mask applies to the switching kinds only")
     return trajectory.x > 0.5
 
 
 def write_trajectory(trajectory: Trajectory, series_path, meta_path) -> None:
     """Export as two-column text (step index, observation) plus a JSON sidecar."""
-    h = trajectory.observations
+    h, reads = trajectory.observations, {"kind", "n_steps"} | _KINDS[trajectory.config.kind][1]
     write_table(series_path, ["step observation"], [np.arange(len(h)), h])
-    cfg = dataclasses.asdict(trajectory.config)
+    cfg = {k: v for k, v in dataclasses.asdict(trajectory.config).items() if k in reads}
     with open(meta_path, "w") as f:
         json.dump({"model": cfg, "n_steps": int(trajectory.config.n_steps)}, f, indent=2)
         f.write("\n")

@@ -19,6 +19,7 @@ from spectrend.data import (
     reverse_time,
 )
 from spectrend.embed import delay_embed
+from test_operator import dense_calls  # noqa: F401  (fixture)
 
 BENTHIC = str(benthic_fixture_path())
 
@@ -82,6 +83,18 @@ class TestSynth:
         main(["synth", "--model", meta["model"]["kind"],
               "--steps", str(meta["model"]["n_steps"]),
               "--seed", str(meta["model"]["seed"]), "--out", str(out2)])
+        assert (out / "series.txt").read_bytes() == (out2 / "series.txt").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["M", "A", "F", "Fprime"])
+    def test_metadata_model_is_a_source_model(self, tmp_path, kind):
+        out = tmp_path / "o"
+        assert main(["synth", "--model", kind, "--steps", "300", "--out", str(out)]) == 0
+        model = json.loads((out / "series.meta.json").read_text())["model"]
+        assert model.keys() == {"kind", "n_steps"} | models._KINDS[kind][1]
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"model": model}}))
+        out2 = tmp_path / "o2"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert (out / "series.txt").read_bytes() == (out2 / "series.txt").read_bytes()
 
     def test_sections_it_does_not_use_are_validated(self, tmp_path, capsys):
@@ -180,6 +193,31 @@ def test_bad_model_parameter_exits_before_any_output(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, kind, name", [
+    # a source.model object stands for a config file whose model it is, with 300 steps
+    (["analyze", {"kind": "M", "delta": 0.5}], "M", "delta"),
+    (["analyze", {"kind": "M", "seed": 3}], "M", "seed"),
+    (["analyze", {"kind": "A", "alpha1": 0.2}], "A", "alpha1"),
+    (["analyze", {"kind": "F", "drift": "quadratic"}], "F", "drift"),
+    (["analyze", {"kind": "F", "a": 2}], "F", "a"),
+    (["analyze", {"kind": "Fprime", "alpha": 0.2}], "Fprime", "alpha"),
+    (["analyze", {"kind": "M", "theta2_0": 1}], "M", "theta2_0"),
+    (["synth", "--model", "F", "--drift", "linear"], "F", "drift"),
+    (["synth", "--model", "M", "--delta", "0.01"], "M", "delta"),
+    (["analyze", "--model", "M", "--seed", "3"], "M", "seed"),
+])
+def test_model_parameter_its_kind_does_not_read_exits_2(tmp_path, capsys, argv, kind, name):
+    if isinstance(argv[-1], dict):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"model": {"n_steps": 300, **argv[-1]}}}))
+        argv = argv[:-1] + ["--config", str(cfg_path)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error [validate] model kind {kind!r} does not read model parameter(s) [{name!r}]\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, table", [("synth", "series.txt"),
                                             ("analyze", "eigenvalues.txt"),
                                             ("reconstruct", "reconstruction.txt")])
@@ -196,7 +234,7 @@ def test_unwritable_table_exits_2(tmp_path, capsys, command, table):
     (101, 0, np.nan, False),    # a time
     (11, 0, np.inf, False),     # a time, which sorting would move to the end
 ])
-def test_non_finite_input_is_stage_tagged(tmp_path, capfd, recwarn, line, column, bad, reverse):
+def test_non_finite_input_is_stage_tagged(tmp_path, capfd, line, column, bad, reverse):
     t = np.arange(400.0)
     rows = np.column_stack([t, np.sin(2.0 * np.pi * t / 23.0)])
     rows[line - 1, column] = bad
@@ -209,11 +247,23 @@ def test_non_finite_input_is_stage_tagged(tmp_path, capfd, recwarn, line, column
                                     "operator": {"knn": 8, "modes": 6}}))
     assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     captured = capfd.readouterr()
+    # a warning would print its `warning [stage]` line ahead of the error
     assert captured.err.startswith(
         f"error [load] {record}: non-finite time or value at line {line}: ")
     assert "DLASCL" not in captured.out and "illegal value" not in captured.out
-    # outside pytest a warning would print to stderr ahead of the error
-    assert not recwarn.list
+
+
+def test_stage_warning_prints_one_tagged_line(tmp_path, capsys):
+    # a record stored oldest-first warns while it loads, and the run goes on
+    t = np.arange(400.0)[::-1]
+    record = tmp_path / "record.txt"
+    np.savetxt(record, np.column_stack([t, np.sin(2.0 * np.pi * t / 23.0)]))
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"source": {"kind": "scalar", "path": str(record)},
+                                    "embedding": {"Q": 3, "lag": 2},
+                                    "operator": {"knn": 8, "modes": 6}}))
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == f"warning [load] {record}: times not ascending; sorting\n"
 
 
 @pytest.mark.parametrize("command", ["synth", "analyze"])
@@ -228,7 +278,7 @@ def test_model_flag_with_record_source_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
-def test_extreme_scale_matches_unit_scale(tmp_path, recwarn, scale):
+def test_extreme_scale_matches_unit_scale(tmp_path, capsys, scale):
     # unscaled, the squared distances of these records overflow or underflow
     eigs = []
     for factor in (1.0, scale):
@@ -243,7 +293,8 @@ def test_extreme_scale_matches_unit_scale(tmp_path, recwarn, scale):
         assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 0
         eigs.append(read_table(out / "eigenvalues.txt", usecols=(1, 2)))
     np.testing.assert_allclose(eigs[1], eigs[0], rtol=0, atol=1e-12)
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    # an overflow or underflow warning would print a `warning [stage]` line
+    assert capsys.readouterr().err == ""
 
 
 def test_constant_record_exits_3(tmp_path, capsys):
@@ -259,9 +310,10 @@ def test_constant_record_exits_3(tmp_path, capsys):
 
 
 class TestAnalyze:
-    def test_default_switching_run_tables(self, tmp_path):
+    def test_default_switching_run_tables(self, tmp_path, dense_calls):  # noqa: F811
         out = tmp_path / "o"
         assert main(["analyze", "--model", "F", "--out", str(out)]) == 0
+        assert dense_calls == []    # the leading modes come from ARPACK alone
         for name in ("eigenvalues.txt", "periods.txt", "modes.txt", "run_config.json"):
             assert (out / name).exists(), name
         eigs = read_table(out / "eigenvalues.txt")
@@ -492,16 +544,14 @@ class TestAnalyze:
         ("2 4 none", "1 2 3 4\n", "header must be 'ny nx sentinel', got ['2', '4', 'none']"),
     ], ids=["zero-rows", "zero-columns", "negative-rows", "header-only", "fractional-rows",
             "text-sentinel"])
-    def test_malformed_field_stack_exits_2(self, tmp_path, capsys, recwarn, header, body,
-                                           message):
+    def test_malformed_field_stack_exits_2(self, tmp_path, capsys, header, body, message):
         stack = tmp_path / "stack.txt"
         stack.write_text(f"{header}\n{body}")
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"source": {"kind": "field", "path": str(stack)}}))
         assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        # the one line is the error: no `warning [stage]` line precedes it
         assert capsys.readouterr().err == f"error [load] {stack}: {message}\n"
-        # outside pytest a warning would print to stderr ahead of the error
-        assert not recwarn.list
 
     @pytest.mark.parametrize("kind, key, value", [
         ("field", "dt", 0.5), ("field", "reverse_time", True), ("field", "t_start", 0),

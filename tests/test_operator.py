@@ -40,6 +40,20 @@ def sqdist(pts):
     return cdist(pts, pts, "sqeuclidean")
 
 
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """The shape of each matrix handed to the dense LAPACK ``eig`` fallback."""
+    calls = []
+    dense = spectrend.operator._dense_eigs
+
+    def spy(P):
+        calls.append(P.shape)
+        return dense(P)
+
+    monkeypatch.setattr(spectrend.operator, "_dense_eigs", spy)
+    return calls
+
+
 def reference_pairs(w):
     """Conjugate-pair bookkeeping as a plain loop over adjacent eigenvalues."""
     pair = np.full(len(w), -1)
@@ -392,18 +406,6 @@ class TestEigendecompose:
 class TestKrylovPath:
     """The leading-mode ARPACK solve against the full LAPACK decomposition."""
 
-    @pytest.fixture
-    def dense_calls(self, monkeypatch):
-        calls = []
-        dense = spectrend.operator._dense_eigs
-
-        def spy(P):
-            calls.append(P.shape)
-            return dense(P)
-
-        monkeypatch.setattr(spectrend.operator, "_dense_eigs", spy)
-        return calls
-
     @staticmethod
     def kernel_operator(seed):
         pts = random_cloud(301, 3, seed=seed)
@@ -615,6 +617,20 @@ class TestRowBlockedBuild:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * emb.n_points ** 2 * 8
+
+    def test_exponent_past_700_leaves_p_zero(self):
+        # P is exactly 0 wherever the kernel exponent exceeds 700, so a floor
+        # on the exponent there would leave P unchanged.  On model F a fifth
+        # of the exponents exceed 708, where NumPy's exp leaves its vector loop
+        traj = simulate(ModelConfig(kind="F", n_steps=1200, seed=4))
+        emb = delay_embed(traj.observations, Q=3, ell=10)
+        s, K = 1, 25
+        pts, n = emb.points, emb.n_points - s
+        d = np.sort(cdist(pts, pts), axis=1)[:, K]
+        exponent = cdist(pts[:n], pts[s:], "sqeuclidean") / np.outer(d[:n], d[s:])
+        assert (exponent > 708).mean() > 0.2
+        P = build_operator(emb, s, K).P
+        assert not P[exponent > 700].any()
 
     def test_failed_normalization_leaves_kernel_unchanged(self):
         S = np.array([[1.0, 1.0], [0.0, 0.0]])

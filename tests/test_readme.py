@@ -75,6 +75,15 @@ def test_config_table_lists_every_schema_key():
         assert defaults["source", key] == str(reader[key].default), key
 
 
+def test_model_entry_lists_what_each_kind_reads():
+    rows = re.findall(r"^  - `(\w+)`: (`.*`)$", README, flags=re.M)
+    listed = {kind: re.findall(r"`(\w+)`", params) for kind, params in rows}
+    assert len(listed) == len(rows)
+    assert all(len(params) == len(set(params)) for params in listed.values())
+    assert {kind: set(params) for kind, params in listed.items()} == {
+        kind: reads for kind, (_steps, reads) in models._KINDS.items()}
+
+
 def test_stage_table_lists_every_stage_tag():
     # every tag cli.py can print: the first argument of each _run_stage and StageError call
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
