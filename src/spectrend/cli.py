@@ -54,7 +54,7 @@ _SOURCE_READS = {
     "synthetic": {"kind", "model"},
     "scalar": {"kind", "path", "time_col", "value_col", "header_rows", "t_start", "t_end",
                "dt", "reverse_time"},
-    "field": {"kind", "path", "sentinel"},
+    "field": {"kind", "path"},
 }
 
 # section -> key -> (kind,) or (kind, default).  A key without a default
@@ -67,7 +67,7 @@ _SCHEMA = {
         "model": (("a JSON object", lambda v: type(v) is dict),),
         "path": (_STRING,),
         "time_col": (_NONNEGATIVE,), "value_col": (_NONNEGATIVE,), "header_rows": (_NONNEGATIVE,),
-        "t_start": (_NUMBER,), "t_end": (_NUMBER,), "dt": (_NUMBER,), "sentinel": (_NUMBER,),
+        "t_start": (_NUMBER,), "t_end": (_NUMBER,), "dt": (_NUMBER,),
         "reverse_time": (("true or false", lambda v: type(v) is bool),)},
     "preprocess": {"anomaly": (_ANOMALY,)},
     "embedding": {"Q": (_POSITIVE, 3), "lag": (_POSITIVE, 10)},
@@ -82,10 +82,6 @@ def indices(text) -> list:    # --indices' type; a bad value is an "invalid indi
     return [int(tok) for tok in text.split(",") if tok]
 
 
-# switching? -> the model kinds, "F/Fprime" or "M/A", that a model flag's help names
-_KIND_NAMES = {s: "/".join(k for k in models._KINDS if (k in models._SWITCHING) == s)
-               for s in (True, False)}
-
 # command line flag -> (config section, key, type, help); section "model" is
 # the source's model, and --config, with no section, names the config file
 _FLAGS = {
@@ -94,9 +90,6 @@ _FLAGS = {
     "steps": ("model", "n_steps", int, "synthetic run length"),
     "seed": ("model", "seed", int, "synthetic seed"),
     "out": ("output", "dir", str, f"output directory (default ${ENV_OUT} or ./spectrend_out)"),
-    "drift": ("model", "drift", str,
-              f"drift preset for kinds {_KIND_NAMES[False]} ({'|'.join(models._DRIFTS)})"),
-    "delta": ("model", "delta", float, f"switching parameter for kinds {_KIND_NAMES[True]}"),
     "Q": ("embedding", "Q", int, "number of delays"),
     "lag": ("embedding", "lag", int, "delay lag (sampling intervals)"),
     "step": ("operator", "step", int, "operator forward step"),
@@ -218,8 +211,7 @@ def _load_source(cfg, model) -> data.TimeSeries:
     if model is not None:
         return data.TimeSeries(samples=_run_stage("simulate", models.simulate, model).observations)
     if src["kind"] == "field":
-        series, _mask = _run_stage("load", data.load_field_stack, src["path"],
-                                   **{k: src[k] for k in ("sentinel",) if k in src})
+        series, _mask = _run_stage("load", data.load_field_stack, src["path"])
         return series
     record = _run_stage("load", data.load_scalar_record, src["path"], **{
         k: src[k] for k in ("time_col", "value_col", "header_rows") if k in src})
@@ -311,7 +303,7 @@ def cmd_periods(args) -> int:
 
 # subcommand -> (handler, help, flags)
 _COMMANDS = {
-    "synth": (cmd_synth, "generate a synthetic trajectory", _COMMON + ("drift", "delta")),
+    "synth": (cmd_synth, "generate a synthetic trajectory", _COMMON),
     "analyze": (cmd_analyze, "run the embedding/operator/spectral pipeline", _PIPELINE),
     "reconstruct": (cmd_reconstruct, "project the observations onto chosen modes",
                     _PIPELINE + ("indices",)),

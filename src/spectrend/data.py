@@ -15,7 +15,6 @@ import dataclasses
 import importlib.resources
 import math
 import warnings
-from typing import Optional
 
 import numpy as np
 
@@ -176,21 +175,21 @@ def load_benthic_fixture() -> TimeSeries:
     return reverse_time(interpolate_uniform(record, 1.0, 0.0, 3000.0))
 
 
-def load_field_stack(path, sentinel: Optional[float] = None):
+def load_field_stack(path):
     """Read a snapshot-stack file into (TimeSeries, FieldMask).
 
     Format: one header line ``ny nx sentinel`` followed by the snapshots,
     each as ny rows of nx values, row major.  Gridpoints equal to the
     sentinel (NaN, for a ``nan`` sentinel) at any time are dropped from every
     snapshot; the mask records the kept flat indices.  Any other NaN or inf
-    value is an error.  Pass ``sentinel`` to override the header value.
+    value is an error.
     """
     with open(path) as f:
         header = f.readline().split()
         try:
             if len(header) != 3:
                 raise ValueError
-            ny, nx, file_sentinel = int(header[0]), int(header[1]), float(header[2])
+            ny, nx, sentinel = int(header[0]), int(header[1]), float(header[2])
         except ValueError:
             raise ValueError(f"{path}: header must be 'ny nx sentinel', got {header!r}") from None
         if ny < 1 or nx < 1:
@@ -200,8 +199,6 @@ def load_field_stack(path, sentinel: Optional[float] = None):
             raw = np.loadtxt(f, ndmin=2)
     if not raw.size:
         raise ValueError(f"{path}: no snapshot rows after the header")
-    if sentinel is None:
-        sentinel = file_sentinel
     if raw.size % (ny * nx) != 0 or raw.shape[1] != nx:
         raise ValueError(
             f"{path}: grid mismatch; expected row-major {ny}x{nx} snapshots, "

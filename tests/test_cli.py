@@ -39,10 +39,7 @@ PIPELINE_HELP = COMMON_HELP + [
     ("--modes", "retained eigenpair count"),
 ]
 HELP = {
-    "synth": COMMON_HELP + [
-        ("--drift", "drift preset for kinds M/A (linear|quadratic)"),
-        ("--delta", "switching parameter for kinds F/Fprime"),
-    ],
+    "synth": COMMON_HELP,
     "analyze": PIPELINE_HELP,
     "reconstruct": PIPELINE_HELP + [("--indices", "comma-separated 1-based mode indices")],
     "periods": PIPELINE_HELP,
@@ -62,15 +59,17 @@ class TestSynth:
         assert files == ["series.meta.json", "series.txt"]
 
     def test_drift_model_starts_at_one(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"model": {"kind": "M", "drift": "linear"}}}))
         out = tmp_path / "o"
-        assert main(["synth", "--model", "M", "--drift", "linear",
-                     "--out", str(out)]) == 0
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
         data = read_table(out / "series.txt")
         assert data[0, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_invalid_delta_exits_2(self, tmp_path, capsys):
-        code = main(["synth", "--model", "F", "--delta", "1.5",
-                     "--out", str(tmp_path / "o")])
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"source": {"model": {"kind": "F", "delta": 1.5}}}))
+        code = main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "delta" in capsys.readouterr().err
 
@@ -134,7 +133,7 @@ def test_help_lists_each_flag_with_its_text(capsys, monkeypatch, command):
     assert pairs == HELP[command]
 
 
-TYPED_FLAGS = {"--steps", "--seed", "--delta", "--Q", "--lag", "--step", "--knn", "--modes",
+TYPED_FLAGS = {"--steps", "--seed", "--Q", "--lag", "--step", "--knn", "--modes",
                "--indices"}
 REJECTED_COMMAND_LINES = [
     pytest.param(command, [flag, bad], (flag, f"'{bad}'"), id=f"{command}{flag}")
@@ -142,6 +141,9 @@ REJECTED_COMMAND_LINES = [
     for bad in ["2,x" if flag == "--indices" else "abc"]
 ] + [
     pytest.param("analyze", ["--bogus", "1"], ("--bogus",), id="unknown-flag"),
+    # the model's dynamics parameters are set in source.model only
+    pytest.param("synth", ["--drift", "linear"], ("--drift linear",), id="synth--drift"),
+    pytest.param("synth", ["--delta", "0.01"], ("--delta 0.01",), id="synth--delta"),
     pytest.param("analyze", ["--mod", "F"], ("--mod",), id="ambiguous-flag"),
     pytest.param("analyze", ["--Q"], ("--Q",), id="flag-without-value"),
     pytest.param("analyse", [], ("'analyse'",), id="misspelled-command"),
@@ -202,8 +204,6 @@ def test_bad_model_parameter_exits_before_any_output(tmp_path, capsys, command):
     (["analyze", {"kind": "F", "a": 2}], "F", "a"),
     (["analyze", {"kind": "Fprime", "alpha": 0.2}], "Fprime", "alpha"),
     (["analyze", {"kind": "M", "theta2_0": 1}], "M", "theta2_0"),
-    (["synth", "--model", "F", "--drift", "linear"], "F", "drift"),
-    (["synth", "--model", "M", "--delta", "0.01"], "M", "delta"),
     (["analyze", "--model", "M", "--seed", "3"], "M", "seed"),
 ])
 def test_model_parameter_its_kind_does_not_read_exits_2(tmp_path, capsys, argv, kind, name):
@@ -354,6 +354,17 @@ class TestAnalyze:
         code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "unknown config section" in capsys.readouterr().err
+
+    def test_source_sentinel_is_an_unknown_key(self, tmp_path, capsys, monkeypatch):
+        # a field stack's missing-value code is the one its header states
+        monkeypatch.chdir(tmp_path)
+        write_replay_sources(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps(
+            {"source": {"kind": "field", "path": "stack.txt", "sentinel": -999}}))
+        assert main(["analyze", "--config", "run.json", "--out", "o"]) == 2
+        assert capsys.readouterr().err == (
+            "error [config] run.json: unknown keys ['sentinel'] in config section 'source'\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cfg", [[1, 2], {"operator": 3}], ids=["root", "section"])
     def test_non_object_config_exits_2(self, tmp_path, capsys, cfg):
@@ -556,7 +567,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("kind, key, value", [
         ("field", "dt", 0.5), ("field", "reverse_time", True), ("field", "t_start", 0),
         ("synthetic", "dt", 2.0), ("synthetic", "path", "record.txt"),
-        ("scalar", "sentinel", -999.0), ("scalar", "model", {"kind": "F"}),
+        ("scalar", "model", {"kind": "F"}),
     ])
     def test_source_key_its_kind_does_not_read_exits_2(self, tmp_path, capsys, kind, key,
                                                        value):
@@ -656,11 +667,10 @@ class TestReconstruct:
         field[:, 4, 1] = -999.0
         stack = tmp_path / "stack.txt"
         with open(stack, "w") as f:
-            f.write(f"{ny} {nx} 1e30\n")     # the config's sentinel overrides this one
+            f.write(f"{ny} {nx} -999\n")
             np.savetxt(f, field.reshape(-1, nx))
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"source": {"kind": "field", "path": str(stack),
-                                                   "sentinel": -999.0},
+        cfg_path.write_text(json.dumps({"source": {"kind": "field", "path": str(stack)},
                                         "embedding": {"Q": 2, "lag": 3},
                                         "operator": {"knn": 8, "modes": 6}}))
         out = tmp_path / "o"
@@ -755,7 +765,6 @@ UNFLOATABLE = {
     "t_start": ({"kind": "scalar", "path": BENTHIC, "t_start": TOO_BIG}, "source.t_start"),
     "t_end": ({"kind": "scalar", "path": BENTHIC, "t_end": TOO_BIG}, "source.t_end"),
     "dt": ({"kind": "scalar", "path": BENTHIC, "dt": TOO_BIG}, "source.dt"),
-    "sentinel": ({"kind": "field", "path": "stack.txt", "sentinel": TOO_BIG}, "source.sentinel"),
     "alpha1": ({"model": {"alpha1": TOO_BIG}}, "alpha1"),
     "delta": ({"model": {"delta": TOO_BIG}}, "delta"),
     "x0": ({"model": {"x0": TOO_BIG}}, "x0"),

@@ -35,16 +35,19 @@ PLAUSIBLE = {
     "time_col": st.integers(0, 2), "value_col": st.integers(0, 2),
     "header_rows": st.integers(0, 3), "t_start": st.integers(0, 50),
     "t_end": st.integers(100, 400), "dt": st.sampled_from([0.5, 1, 2.5]),
-    "reverse_time": st.booleans(), "sentinel": st.sampled_from([-999.0, 0]),
-    "anomaly": st.fixed_dictionaries({"window": st.lists(st.integers(-1, 150), min_size=2,
-                                                         max_size=2),
-                                      "cycle": st.integers(0, 40)}),
+    "reverse_time": st.booleans(),
+    # a window of at least one cycle inside the first 21 samples, which every
+    # plausible series has (a scalar grid from t = 50 to 100 at dt = 2.5 has 21)
+    "anomaly": st.builds(lambda start, width, cycle: {"window": [start, start + width],
+                                                      "cycle": cycle},
+                         st.integers(0, 4), st.integers(12, 17), st.integers(1, 12)),
     "Q": st.integers(1, 6), "lag": st.integers(1, 12), "step": st.integers(0, 3),
     "knn": st.integers(1, 30), "modes": st.integers(1, 12),
-    "indices": st.lists(st.integers(-1, 6), max_size=3), "dir": st.just("ignored"),
+    # the stub decomposition has four eigenpairs
+    "indices": st.lists(st.integers(1, 4), min_size=1, max_size=3), "dir": st.just("ignored"),
     # n_steps is always set, so a run simulates at most 300 steps, and a seed
     # only with a kind that reads it
-    "model": st.fixed_dictionaries({"n_steps": st.integers(1, 300)},
+    "model": st.fixed_dictionaries({"n_steps": st.integers(100, 300)},
                                    optional={"kind": MODEL_KINDS}).flatmap(
         lambda model: st.fixed_dictionaries(
             {key: st.just(value) for key, value in model.items()},
@@ -74,7 +77,9 @@ def configs(draw):
     for name, keys in cli._SCHEMA.items():
         if name == "source" and not wild:
             keys = cli._SOURCE_READS[kind] - {"kind", "path"}
-        chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=4))
+        # a field source reads no key besides its kind and path
+        chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=4)
+                      if keys else st.just([]))
         cfg[name] = {key: draw(PLAUSIBLE[key] | VALUES if wild else PLAUSIBLE[key])
                      for key in chosen if key != "model"}
     if not wild:

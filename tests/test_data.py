@@ -297,13 +297,6 @@ class TestFieldStack:
                                              "row 1, column 1"):
             load_field_stack(p)
 
-    def test_sentinel_override(self, tmp_path):
-        p = tmp_path / "stack.txt"
-        snaps = [[1.0, 0.0, 3.0, 4.0]]
-        write_stack(p, snaps, 2, 2, sentinel=-999.0)
-        series, mask = load_field_stack(p, sentinel=0.0)
-        assert mask.n_kept == 3
-
     def test_scatter_back_roundtrip(self, tmp_path):
         p = tmp_path / "stack.txt"
         snaps = [[1.0, 2.0, -999.0, 4.0], [5.0, 6.0, -999.0, 8.0]]
