@@ -241,8 +241,10 @@ def _analyze(args):
                             anom["cycle"])
     emb = _run_stage("embed", embed.delay_embed, series,
                      cfg["embedding"]["Q"], cfg["embedding"]["lag"])
-    opr = _run_stage("operator", operator.build_operator, emb,
-                     cfg["operator"]["step"], cfg["operator"]["knn"])
+    # no name holds build_operator's dense P, so a P with a CSR copy is freed
+    # before the eigensolve
+    opr = _run_stage("operator", lambda: operator.sparsify(operator.build_operator(
+        emb, cfg["operator"]["step"], cfg["operator"]["knn"])))
     modes = min(cfg["operator"]["modes"], opr.n)
     dec = _run_stage("eigendecompose", operator.eigendecompose, opr, modes)
     h = emb.align(series.samples.reshape(len(series), -1), opr.n)

@@ -54,10 +54,14 @@ a biorthogonal system, which is what makes spectral projections work.
 Only the leading modes are computed: ARPACK's implicitly restarted Arnoldi
 method (``scipy.sparse.linalg.eigs``) runs on P for the right vectors and on
 P^T for the left ones, so the cost grows with the requested mode count
-rather than as N^3.  ``eigendecompose`` picks one operand for ARPACK and for
-every residual product: a CSR copy of P when at most ``_CSR_DENSITY`` (10%)
-of P is nonzero, else a ``LinearOperator`` whose products call
-``scipy.linalg.blas`` on P itself.  ARPACK asks its caller for every product
+rather than as N^3.  One helper, ``_operand``, picks the one operand for
+ARPACK and for every residual product: a CSR copy of P when at most
+``_CSR_DENSITY`` (10%) of P is nonzero, else a ``LinearOperator`` whose
+products call ``scipy.linalg.blas`` on P itself.  ``sparsify`` returns the
+operator with that CSR copy as its P, and ``eigendecompose`` takes such a P
+as its operand; the CLI keeps only ``sparsify``'s result, so the dense P is
+freed before ARPACK starts.  Given a dense P, ``eigendecompose`` builds the
+operand itself.  ARPACK asks its caller for every product
 with P, so the caller picks the BLAS.  The NumPy and SciPy wheels each bundle
 an OpenBLAS; ARPACK and LAPACK link SciPy's and NumPy's ``@`` runs in
 NumPy's, so dense products through SciPy's keep the eigensolve in one
@@ -99,6 +103,7 @@ _KRYLOV_RESTARTS = 50  # ARPACK restart budget before the dense fallback
 # BLAS thread).  The cutoff sits well below that crossover.
 _CSR_DENSITY = 0.1
 _ROW_BLOCK = 256       # rows per block of the operator build
+_EXP_CAP = 700.0       # largest kernel exponent above its row's smallest (kernel_matrix)
 _EXACT_DIM = 16        # largest dimension summed per coordinate (module docstring)
 _COL_BLOCK = 256       # coordinates per centred block of the Gram form
 _CACHE_ROWS = 16       # rows per pass of the per-coordinate sum; its (16, N) blocks stay in cache
@@ -117,7 +122,7 @@ class MarkovOperator:
     ``emb.align(values, op.n)`` reads any source-indexed array at P's rows, and
     ``s`` and the source's sampling interval ``dt`` set the unit of eigenperiods."""
 
-    P: np.ndarray                 # (N-s, N-s) row stochastic
+    P: np.ndarray                 # (N-s, N-s) row stochastic; CSR after ``sparsify``
     s: int
     dt: float = 1.0
 
@@ -213,6 +218,14 @@ def kernel_matrix(pts, s: int, bandwidths: np.ndarray) -> np.ndarray:
     S_ij = exp(-||pts_i - pts_{j+s}||^2 / (d_i d_{j+s})).  Each block of
     rows' squared distances to ``pts[s:]`` is written straight into its rows
     of S and exponentiated there, so no other N x N array is made.
+
+    Each exponent is capped at ``_EXP_CAP`` (700) above its row's smallest,
+    which keeps NumPy's ``exp`` on its vector loop: past about 708 it takes a
+    scalar path several times slower.  A row i >= s holds its own point, at
+    exponent 0, so its cap is 700; each of the first s rows finds its own
+    smallest.  A capped entry is at most exp(-700) ~ 1e-304 of its row's
+    largest, so ``row_stochastic`` zeroes it with or without the cap, and P
+    is the same to the bit.
     """
     pts = _as_cloud(pts)
     n_all = len(pts)
@@ -228,8 +241,11 @@ def kernel_matrix(pts, s: int, bandwidths: np.ndarray) -> np.ndarray:
     S = np.empty((n, n))
     for rows in _blocks(n):
         block = _sqdist_rows(pts[rows], pts[s:], S[rows], gram)
-        block /= np.outer(d[rows], d[s:])
-        np.exp(np.negative(block, out=block), out=block)
+        block /= np.outer(-d[rows], d[s:])    # x / -y is -(x / y) exactly
+        head = block[:max(0, s - rows.start)]    # the block's rows i < s
+        np.maximum(head, head.max(axis=1, keepdims=True) - _EXP_CAP, out=head)
+        np.maximum(block[len(head):], -_EXP_CAP, out=block[len(head):])
+        np.exp(block, out=block)
     return S
 
 
@@ -424,15 +440,17 @@ def _operand(P: np.ndarray):
     when at most ``_CSR_DENSITY`` of it is nonzero, else ``_blas_operator(P)``.
 
     The CSR copy is built in blocks of ``_ROW_BLOCK`` rows: one pass counts
-    each row's nonzeros, whose total picks the operand and whose cumulative
-    sum is ``indptr``; a second fills ``data`` and ``indices``.
+    each row's nonzeros, and stops at the block whose running total passes
+    ``_CSR_DENSITY`` of P; the counts' cumulative sum is ``indptr``, and a
+    second pass fills ``data`` and ``indices``.
     """
     n_rows, n_cols = P.shape
-    counts = np.empty(n_rows, dtype=np.int64)
+    counts, total = np.empty(n_rows, dtype=np.int64), 0
     for rows in _blocks(n_rows):
         counts[rows] = np.count_nonzero(P[rows], axis=1)
-    if counts.sum() > _CSR_DENSITY * P.size:
-        return _blas_operator(P)
+        total += counts[rows].sum()
+        if total > _CSR_DENSITY * P.size:
+            return _blas_operator(P)
     # int32 indices, as csr_array(P) picks: nnz <= n^2 / 10 stays below 2^31
     # for any n whose dense P (8 n^2 bytes) fits in memory
     indptr = np.zeros(n_rows + 1, dtype=np.int32)
@@ -447,6 +465,17 @@ def _operand(P: np.ndarray):
     return scipy.sparse.csr_array((data, indices, indptr), shape=P.shape)
 
 
+def sparsify(op: MarkovOperator) -> MarkovOperator:
+    """``op`` with P replaced by its CSR copy when ``_operand`` picks one,
+    else ``op`` itself.
+
+    ``eigendecompose`` reads such a P as it is, so a caller that keeps only
+    the result holds no dense P during the eigensolve.
+    """
+    A = _operand(op.P)
+    return dataclasses.replace(op, P=A) if scipy.sparse.issparse(A) else op
+
+
 def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecomposition:
     """Top-m eigenpairs of P with duals from the transposed matrix.
 
@@ -457,14 +486,18 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     positive; duals are rescaled for dual^dagger v = 1.  A numerically real
     pair (0 < |Im| <= ``_PAIR_TOL``) becomes two real modes at Re lambda with
     the real basis (Re v, Im v) and duals biorthogonal to it.
+
+    P may be dense or, as ``sparsify`` leaves it, CSR.  A CSR P is ARPACK's
+    operand as it is, and is densified only if the dense fallback runs.
     """
     P, n = op.P, op.n
     m = n if m is None else m
     if not 1 <= m <= n:
         raise ValueError(f"mode count m must lie in [1, {n}], got {m}")
-    A = _operand(P)
+    sparse = scipy.sparse.issparse(P)
+    A = P if sparse else _operand(P)
     found = _leading_eigs(A, m)
-    w, vl, vr = _dense_eigs(P) if found is None else found
+    w, vl, vr = _dense_eigs(P.toarray() if sparse else P) if found is None else found
     # do not split a conjugate pair at the retention boundary
     m = _retained(w, m)
     w, vl, vr = w[:m], vl[:, :m], vr[:, :m]

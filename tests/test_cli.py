@@ -5,12 +5,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import spectrend
-from spectrend import models
+from spectrend import models, operator
 from spectrend.cli import main
 from spectrend.data import (
     benthic_fixture_path,
@@ -324,6 +325,42 @@ class TestAnalyze:
         osc = [float(r[3]) for r in rows if r[5] == "oscillatory"]
         assert any(abs(p - 40.39) < 2.5 for p in osc)
         assert any(abs(p - 94.95) < 2.5 for p in osc)
+
+    # model F seed 0 at 1200 steps and K=10 gives P 6.6% nonzero, at 600 and K=25 27%
+    @pytest.mark.parametrize("steps, knn, csr", [(1200, 10, True), (600, 25, False)],
+                             ids=["sparse", "dense"])
+    def test_eigensolve_holds_no_dense_p_beside_its_csr_copy(self, tmp_path, monkeypatch,
+                                                             steps, knn, csr):
+        import scipy.sparse
+        import scipy.sparse.linalg as sla
+
+        built, blas, solves = [], [], []
+        build, eigs, blas_operator = operator.build_operator, sla.eigs, operator._blas_operator
+
+        def build_spy(*args):
+            op = build(*args)
+            built.append(weakref.ref(op.P))
+            return op
+
+        def blas_spy(P):
+            blas.append(blas_operator(P))
+            return blas[-1]
+
+        def eigs_spy(A, **kwargs):
+            solves.append((A, built[0]() is not None))
+            return eigs(A, **kwargs)
+
+        monkeypatch.setattr(operator, "build_operator", build_spy)
+        monkeypatch.setattr(operator, "_blas_operator", blas_spy)
+        monkeypatch.setattr(sla, "eigs", eigs_spy)
+        assert main(["analyze", "--seed", "0", "--steps", str(steps), "--knn", str(knn),
+                     "--modes", "6", "--out", str(tmp_path)]) == 0
+        (A, alive), (AT, _) = solves
+        assert alive is not csr
+        if csr:
+            assert scipy.sparse.issparse(A) and scipy.sparse.issparse(AT) and blas == []
+        else:
+            assert A is blas[-1]
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -114,7 +114,7 @@ def stub_pipeline(monkeypatch):
         # stub's three is rejected under [operator], never misaligned
         if emb.n_points - s < 3:
             raise ValueError(f"{emb.n_points} points leave fewer than 3 rows at step {s}")
-        return types.SimpleNamespace(n=3)
+        return types.SimpleNamespace(n=3, P=np.full((3, 3), 1.0 / 3.0))
 
     monkeypatch.setattr(operator, "build_operator", build_operator)
     monkeypatch.setattr(operator, "eigendecompose", lambda op, m: dec)

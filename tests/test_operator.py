@@ -22,6 +22,7 @@ from spectrend.operator import (
     kernel_matrix,
     knn_bandwidths,
     row_stochastic,
+    sparsify,
     write_eigenvalue_table,
 )
 from spectrend.spectral import eigenperiod, nearest_pair, project
@@ -581,9 +582,13 @@ class TestRowBlockedBuild:
         D2 = sqdist(pts)
         n = len(pts) - s
         d = np.sqrt(np.partition(D2, K, axis=1)[:, K])
-        S = np.exp(-D2[:n, s:] / np.outer(d[:n], d[s:]))
-        P = S / S.sum(axis=1)[:, None]
+        E = D2[:n, s:] / np.outer(d[:n], d[s:])
+        P = np.exp(-E)
+        P /= P.sum(axis=1)[:, None]
         P[P < np.finfo(float).eps] = 0.0
+        # the kernel caps each exponent at its row's smallest + 700; P is
+        # the uncapped formula's
+        S = np.exp(-np.minimum(E, E.min(axis=1, keepdims=True) + 700.0))
         return d, S, P
 
     @pytest.mark.parametrize("s", [0, 1, 7])
@@ -631,6 +636,29 @@ class TestRowBlockedBuild:
         assert (exponent > 708).mean() > 0.2
         P = build_operator(emb, s, K).P
         assert not P[exponent > 700].any()
+
+    @staticmethod
+    def far_head_row(L):
+        """A line of 10 points and a far point L before them, with the
+        exponents of its kernel row at s = 1, K = 2, the smallest about
+        (L - 10) / 2; row 0 lacks its own point."""
+        pts = np.concatenate([[L], np.arange(10.0)])[:, None]
+        d = knn_bandwidths(pts, 2)
+        return pts, sqdist(pts)[0, 1:] / (d[0] * d[1:])
+
+    def test_head_row_below_normal_range_is_exact(self):
+        # exp(-min) is subnormal, so a global floor at -700 would flatten row 0
+        pts, exponent = self.far_head_row(1460.0)
+        assert 708 < exponent.min() < 745
+        _, _, P_ref = self.reference(pts, 1, 2)
+        assert P_ref[0].any()
+        np.testing.assert_array_equal(build_operator(delay_embed(pts, 1, 1), 1, 2).P, P_ref)
+
+    def test_head_row_past_745_still_sums_to_zero(self):
+        pts, exponent = self.far_head_row(1600.0)
+        assert exponent.min() > 745
+        with pytest.raises(NumericalError, match="row 0 sums to zero"):
+            build_operator(delay_embed(pts, 1, 1), 1, 2)
 
     def test_failed_normalization_leaves_kernel_unchanged(self):
         S = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -722,6 +750,19 @@ class TestCsrOperand:
         dec = eigendecompose(op, 5)
         assert operands["eigs"] and all(scipy.sparse.issparse(A) for A in operands["eigs"])
         assert len(operands["dense"]) == 1 and operands["dense"][0] is op.P
+        z = np.exp(2j * np.pi / 40.0)
+        np.testing.assert_allclose(dec.eigenvalues, [1.0, z, z.conjugate(), z**2, z.conjugate()**2],
+                                   rtol=0, atol=1e-12)
+
+    def test_fallback_densifies_a_csr_p(self, operands):
+        P = np.roll(np.eye(40), 1, axis=1)
+        op = sparsify(MarkovOperator(P=P.copy(), s=1))
+        assert scipy.sparse.issparse(op.P)
+        dec = eigendecompose(op, 5)
+        assert operands["eigs"] and operands["eigs"][0] is op.P
+        (dense,) = operands["dense"]
+        assert type(dense) is np.ndarray
+        np.testing.assert_array_equal(dense, P)
         z = np.exp(2j * np.pi / 40.0)
         np.testing.assert_allclose(dec.eigenvalues, [1.0, z, z.conjugate(), z**2, z.conjugate()**2],
                                    rtol=0, atol=1e-12)
