@@ -245,10 +245,14 @@ def _analyze(args):
     # before the eigensolve
     opr = _run_stage("operator", lambda: operator.sparsify(operator.build_operator(
         emb, cfg["operator"]["step"], cfg["operator"]["knn"])))
+    # h and the times are views of the series; once they are read, no name
+    # holds the embedding, so its cloud is freed before the eigensolve
+    h = emb.align(series.samples.reshape(len(series), -1), opr.n)
+    times = emb.align(series.times, opr.n)
+    del emb
     modes = min(cfg["operator"]["modes"], opr.n)
     dec = _run_stage("eigendecompose", operator.eigendecompose, opr, modes)
-    h = emb.align(series.samples.reshape(len(series), -1), opr.n)
-    return cfg, series, dec, h, emb.align(series.times, opr.n)
+    return cfg, series, dec, h, times
 
 
 def cmd_synth(args) -> int:

@@ -182,7 +182,8 @@ def load_field_stack(path):
     each as ny rows of nx values, row major.  Gridpoints equal to the
     sentinel (NaN, for a ``nan`` sentinel) at any time are dropped from every
     snapshot; the mask records the kept flat indices.  Any other NaN or inf
-    value is an error.
+    value is an error.  The samples are a new C-ordered (T, n_kept) array,
+    one snapshot per row, so ``embed.delay_embed`` reads them without a copy.
     """
     with open(path) as f:
         header = f.readline().split()
@@ -220,7 +221,8 @@ def load_field_stack(path):
         raise ValueError(f"{path}: every gridpoint equals the sentinel {sentinel!r} in at "
                          "least one snapshot; no gridpoint is left")
     mask = FieldMask(shape=(ny, nx), kept=kept)
-    return TimeSeries(samples=stack[:, kept]), mask
+    # take, not stack[:, kept], whose copy is Fortran-ordered
+    return TimeSeries(samples=stack.take(kept, axis=1)), mask
 
 
 def scatter_back(values, mask: FieldMask, fill: float = np.nan) -> np.ndarray:

@@ -54,14 +54,15 @@ a biorthogonal system, which is what makes spectral projections work.
 Only the leading modes are computed: ARPACK's implicitly restarted Arnoldi
 method (``scipy.sparse.linalg.eigs``) runs on P for the right vectors and on
 P^T for the left ones, so the cost grows with the requested mode count
-rather than as N^3.  One helper, ``_operand``, picks the one operand for
-ARPACK and for every residual product: a CSR copy of P when at most
-``_CSR_DENSITY`` (10%) of P is nonzero, else a ``LinearOperator`` whose
-products call ``scipy.linalg.blas`` on P itself.  ``sparsify`` returns the
-operator with that CSR copy as its P, and ``eigendecompose`` takes such a P
-as its operand; the CLI keeps only ``sparsify``'s result, so the dense P is
-freed before ARPACK starts.  Given a dense P, ``eigendecompose`` builds the
-operand itself.  ARPACK asks its caller for every product
+rather than as N^3.  One helper, ``_csr_copy``, makes the one format
+decision: a CSR copy of P when at most ``_CSR_DENSITY`` (10%) of P is
+nonzero, else None.  ``sparsify`` only applies it, returning the operator
+with that CSR copy as its P, or the operator itself; the CLI keeps only
+``sparsify``'s result, so the dense P is freed before ARPACK starts.
+``eigendecompose`` takes a CSR P as ARPACK's operand and that of every
+residual product; for a dense P it applies the same decision and, where it
+keeps P dense, builds once a ``LinearOperator`` whose products call
+``scipy.linalg.blas`` on P itself.  ARPACK asks its caller for every product
 with P, so the caller picks the BLAS.  The NumPy and SciPy wheels each bundle
 an OpenBLAS; ARPACK and LAPACK link SciPy's and NumPy's ``@`` runs in
 NumPy's, so dense products through SciPy's keep the eigensolve in one
@@ -75,7 +76,7 @@ dense LAPACK ``eig`` of P, called from one line, answers each None.  Both
 solvers' answers pass through one mode-order helper, which puts each
 conjugate partner, rebuilt by conjugation, right after its upper half-plane
 member; ``pair_index`` records that pairing and is the one pairing rule
-downstream.  A numerically real pair (|Im| at most ``_PAIR_TOL``) is left
+downstream.  A numerically real pair (|Im| at most ``_EIG_TOL``) is left
 unpaired and given the real basis (Re v, Im v).
 """
 
@@ -92,8 +93,9 @@ from scipy.linalg.blas import dgemm, dgemv
 from ._table import write_table
 from .embed import EmbeddedSeries
 
-_PAIR_TOL = 1e-10      # an eigenvalue with |Im| at most this is real
-_LR_TOL = 1e-10        # largest |left - right| eigenvalue gap of a usable ARPACK answer
+# Two eigenvalues this close are numerically equal: an eigenvalue with |Im| at
+# most this is real, and a left and right ARPACK answer this close agree.
+_EIG_TOL = 1e-10
 _MOD_DECIMALS = 9      # modulus quantization for ordering ties
 _KRYLOV_RESTARTS = 50  # ARPACK restart budget before the dense fallback
 # Largest nonzero fraction of P at which ARPACK reads a CSR copy of it.  On a
@@ -354,7 +356,7 @@ def _in_mode_order(w: np.ndarray, *vecs):
     that solver noise cannot swap tied magnitudes (+1 and -1 on a cycle), then
     real part.  Each upper member is followed by its conjugate, rebuilt
     exactly: LAPACK and ARPACK pairs are exact for real P.  That holds for a
-    numerically real pair (0 < Im <= ``_PAIR_TOL``) too.
+    numerically real pair (0 < Im <= ``_EIG_TOL``) too.
     """
     keep = np.flatnonzero(w.imag >= 0.0)
     keep = keep[np.lexsort((-w[keep].real, -np.round(np.abs(w[keep]), _MOD_DECIMALS)))]
@@ -410,7 +412,7 @@ def _leading_eigs(A, m: int):
     conj_mu, vl = _in_mode_order(np.conj(mu), vl)
     r = _retained(w, m)
     if bound >= np.round(np.abs(w), _MOD_DECIMALS)[r - 1] or np.any(
-            np.abs(conj_mu[:r] - w[:r]) > _LR_TOL):
+            np.abs(conj_mu[:r] - w[:r]) > _EIG_TOL):
         return None
     return w, vl, vr
 
@@ -435,12 +437,12 @@ def _blas_operator(P: np.ndarray):
         matmat=lambda X: dgemm(1.0, PT, X, trans_a=1), rmatmat=lambda X: dgemm(1.0, PT, X))
 
 
-def _operand(P: np.ndarray):
-    """The one operand for ARPACK and every residual product: a CSR copy of P
-    when at most ``_CSR_DENSITY`` of it is nonzero, else ``_blas_operator(P)``.
+def _csr_copy(P: np.ndarray):
+    """The one format decision: a CSR copy of dense P when at most
+    ``_CSR_DENSITY`` of it is nonzero, else None.
 
-    The CSR copy is built in blocks of ``_ROW_BLOCK`` rows: one pass counts
-    each row's nonzeros, and stops at the block whose running total passes
+    The copy is built in blocks of ``_ROW_BLOCK`` rows: one pass counts each
+    row's nonzeros, and stops at the block whose running total passes
     ``_CSR_DENSITY`` of P; the counts' cumulative sum is ``indptr``, and a
     second pass fills ``data`` and ``indices``.
     """
@@ -450,7 +452,7 @@ def _operand(P: np.ndarray):
         counts[rows] = np.count_nonzero(P[rows], axis=1)
         total += counts[rows].sum()
         if total > _CSR_DENSITY * P.size:
-            return _blas_operator(P)
+            return None
     # int32 indices, as csr_array(P) picks: nnz <= n^2 / 10 stays below 2^31
     # for any n whose dense P (8 n^2 bytes) fits in memory
     indptr = np.zeros(n_rows + 1, dtype=np.int32)
@@ -466,14 +468,15 @@ def _operand(P: np.ndarray):
 
 
 def sparsify(op: MarkovOperator) -> MarkovOperator:
-    """``op`` with P replaced by its CSR copy when ``_operand`` picks one,
+    """``op`` with its dense P replaced by the CSR copy ``_csr_copy`` makes,
     else ``op`` itself.
 
-    ``eigendecompose`` reads such a P as it is, so a caller that keeps only
-    the result holds no dense P during the eigensolve.
+    This decides the format only: it builds no operand for a P it keeps
+    dense.  ``eigendecompose`` reads a CSR P as it is, so a caller that keeps
+    only the result holds no dense P during the eigensolve.
     """
-    A = _operand(op.P)
-    return dataclasses.replace(op, P=A) if scipy.sparse.issparse(A) else op
+    A = _csr_copy(op.P)
+    return op if A is None else dataclasses.replace(op, P=A)
 
 
 def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecomposition:
@@ -484,18 +487,22 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     conjugate pair, the partner is kept as well.  Each right eigenvector is
     normalized to unit length with its largest-modulus entry made real
     positive; duals are rescaled for dual^dagger v = 1.  A numerically real
-    pair (0 < |Im| <= ``_PAIR_TOL``) becomes two real modes at Re lambda with
+    pair (0 < |Im| <= ``_EIG_TOL``) becomes two real modes at Re lambda with
     the real basis (Re v, Im v) and duals biorthogonal to it.
 
     P may be dense or, as ``sparsify`` leaves it, CSR.  A CSR P is ARPACK's
-    operand as it is, and is densified only if the dense fallback runs.
+    operand as it is, and is densified only if the dense fallback runs.  A
+    dense P is copied to CSR where ``_csr_copy`` picks that format, and is
+    otherwise read through the one ``_blas_operator`` built here.
     """
     P, n = op.P, op.n
     m = n if m is None else m
     if not 1 <= m <= n:
         raise ValueError(f"mode count m must lie in [1, {n}], got {m}")
     sparse = scipy.sparse.issparse(P)
-    A = P if sparse else _operand(P)
+    A = P if sparse else _csr_copy(P)
+    if A is None:
+        A = _blas_operator(P)
     found = _leading_eigs(A, m)
     w, vl, vr = _dense_eigs(P.toarray() if sparse else P) if found is None else found
     # do not split a conjugate pair at the retention boundary
@@ -503,7 +510,7 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     w, vl, vr = w[:m], vl[:, :m], vr[:, :m]
 
     pair = np.full(m, -1, dtype=int)
-    upper = np.flatnonzero(w.imag > _PAIR_TOL)
+    upper = np.flatnonzero(w.imag > _EIG_TOL)
     pair[upper], pair[upper + 1] = upper + 1, upper
     near = np.flatnonzero((w.imag > 0.0) & (pair < 0))    # upper members of numerically real pairs
     for x in (vl, vr):

@@ -17,7 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._table import write_table
-from .operator import _PAIR_TOL, SpectralDecomposition
+from .operator import _EIG_TOL, SpectralDecomposition
+
+_BLOCK = 64    # target columns, or output rows, per product in ``project``
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,7 +47,7 @@ def eigenperiod(lam: complex, s: int, dt: float = 1.0) -> float:
     above the Nyquist rate of the s-step map alias into |arg| <= pi and are
     reported as such.
     """
-    if abs(np.imag(lam)) <= _PAIR_TOL:
+    if abs(np.imag(lam)) <= _EIG_TOL:
         raise ValueError(f"eigenvalue {complex(lam)} is real; period undefined (infinite)")
     return 2.0 * math.pi * s * dt / abs(np.angle(lam))
 
@@ -104,6 +106,14 @@ def conjugate_closure(dec: SpectralDecomposition, indices) -> tuple:
     return tuple(sorted(k + 1 for k in closed))
 
 
+def _spans(n: int) -> list:
+    """Slices of ``_BLOCK`` consecutive indices covering range(n), with a last
+    lone index joined to the slice before it: NumPy multiplies a single row or
+    column through another BLAS routine, which may round differently."""
+    starts = list(range(0, n - 1, _BLOCK)) or [0]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def project(dec: SpectralDecomposition, indices, target) -> Projection:
     """Project a target series onto the span of the chosen modes.
 
@@ -111,6 +121,14 @@ def project(dec: SpectralDecomposition, indices, target) -> Projection:
     by ``EmbeddedSeries.align``, is scalar (n,) or d-dimensional (n, d), and
     the projection acts componentwise.  When the index set is closed under
     conjugation the output of a real target is real and returned as such.
+
+    With V and W the chosen right and dual vectors, the projection is
+    V (W^H h), and no (n, d) complex array is made for it: W^H h is formed
+    over blocks of ``_BLOCK`` columns of the target, and for a closed set
+    V (W^H h) over blocks of ``_BLOCK`` rows, written straight into a new
+    C-ordered float output.  An open set's output is the one complex array.
+    At one BLAS thread every entry equals the unblocked product's to the
+    bit; a product that BLAS splits over threads may round differently.
     """
     idx = sorted({int(i) for i in indices})
     realness = conjugate_closure(dec, idx) == tuple(idx)
@@ -119,10 +137,16 @@ def project(dec: SpectralDecomposition, indices, target) -> Projection:
     flat = h[:, None] if h.ndim == 1 else h
     zero = [i - 1 for i in idx]
     V = dec.right_vectors[:, zero]
-    W = dec.dual_vectors[:, zero]
-    out = V @ (W.conj().T @ flat)
+    WH = dec.dual_vectors[:, zero].conj().T
+    C = np.empty((len(zero), flat.shape[1]), dtype=complex)
+    for cols in _spans(flat.shape[1]):
+        C[:, cols] = WH @ flat[:, cols]    # a complex copy of one column block only
     if realness:
-        out = out.real
+        out = np.empty(flat.shape)
+        for rows in _spans(n):
+            out[rows] = (V[rows] @ C).real
+    else:
+        out = V @ C
     if h.ndim == 1:
         out = out[:, 0]
     return Projection(indices=tuple(idx), series=out, realness=realness)

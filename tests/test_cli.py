@@ -360,7 +360,8 @@ class TestAnalyze:
         if csr:
             assert scipy.sparse.issparse(A) and scipy.sparse.issparse(AT) and blas == []
         else:
-            assert A is blas[-1]
+            # sparsify decides the format only; eigendecompose builds the one operand
+            assert len(blas) == 1 and A is blas[0]
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -696,8 +697,9 @@ class TestReconstruct:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error {tag}")
 
-    def test_field_stack_reconstruction(self, tmp_path):
-        n_t, ny, nx = 120, 6, 6
+    @staticmethod
+    def field_config(tmp_path, n_t, ny, nx):
+        """Config of a seasonal field stack with a local trend and one sentinel cell."""
         t = np.arange(n_t)[:, None, None]
         yy, xx = np.mgrid[0:ny, 0:nx]
         field = np.sin(2.0 * np.pi * t / 12.0 + 0.4 * (yy + xx)) + 0.02 * t * (yy < 2)
@@ -710,13 +712,38 @@ class TestReconstruct:
         cfg_path.write_text(json.dumps({"source": {"kind": "field", "path": str(stack)},
                                         "embedding": {"Q": 2, "lag": 3},
                                         "operator": {"knn": 8, "modes": 6}}))
+        return str(cfg_path)
+
+    def test_field_stack_reconstruction(self, tmp_path):
+        n_t, ny, nx = 120, 6, 6
         out = tmp_path / "o"
-        assert main(["reconstruct", "--config", str(cfg_path), "--indices", "2",
-                     "--out", str(out)]) == 0
+        assert main(["reconstruct", "--config", self.field_config(tmp_path, n_t, ny, nx),
+                     "--indices", "2", "--out", str(out)]) == 0
         header = (out / "reconstruction.txt").read_text().splitlines()[0]
         assert header.startswith("# modes 2") and header.endswith("real=yes")
         table = read_table(out / "reconstruction.txt")
         assert table.shape == (n_t - 3 - 1, 1 + ny * nx - 1)    # time + kept cells
+
+    def test_embedding_is_freed_before_the_eigensolve(self, tmp_path, monkeypatch):
+        points, alive = [], []
+        embed, solve = spectrend.embed.delay_embed, operator.eigendecompose
+
+        def embed_spy(*args):
+            emb = embed(*args)
+            points.append(weakref.ref(emb.points))
+            return emb
+
+        def eigendecompose_spy(*args):
+            alive.append(points[0]() is not None)
+            return solve(*args)
+
+        monkeypatch.setattr(spectrend.embed, "delay_embed", embed_spy)
+        monkeypatch.setattr(operator, "eigendecompose", eigendecompose_spy)
+        out = tmp_path / "o"
+        assert main(["reconstruct", "--config", self.field_config(tmp_path, 120, 6, 6),
+                     "--indices", "2", "--out", str(out)]) == 0
+        assert alive == [False]
+        assert (out / "reconstruction.txt").exists()
 
     def test_non_integer_index_exits_2(self, tmp_path, capsys):
         code = main(["reconstruct", "--model", "F", "--steps", "300",

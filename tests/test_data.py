@@ -235,6 +235,17 @@ class TestFieldStack:
         for Q in (1, 2):
             assert delay_embed(series, Q=Q, ell=1).points.flags.c_contiguous
 
+    @pytest.mark.parametrize("sentinel_cells", [[], [2], [0, 3]])
+    def test_samples_are_c_ordered(self, tmp_path, sentinel_cells):
+        # so that delay_embed reads them without a stack-sized copy
+        p = tmp_path / "stack.txt"
+        snaps = np.arange(48.0).reshape(12, 4)
+        snaps[:, sentinel_cells] = -999.0
+        write_stack(p, snaps, 2, 2)
+        series, mask = load_field_stack(p)
+        assert series.samples.flags.c_contiguous
+        np.testing.assert_array_equal(series.samples, snaps[:, mask.kept])
+
     def test_sentinel_cell_dropped(self, tmp_path):
         p = tmp_path / "stack.txt"
         snaps = [[1.0, 2.0, 3.0, -999.0], [5.0, 6.0, 7.0, -999.0]]

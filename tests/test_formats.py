@@ -7,12 +7,13 @@ the integer index columns, string columns and complex (re, im) rows.
 """
 
 import functools
+import io
 import types
 
 import numpy as np
 import pytest
 
-from spectrend import cli, operator, spectral
+from spectrend import _table, cli, operator, spectral
 from spectrend.models import ModelConfig, Trajectory, write_trajectory
 from spectrend.operator import SpectralDecomposition, write_eigenvalue_table
 from spectrend.spectral import ModeReport, Projection, write_mode_table, write_projection
@@ -102,6 +103,42 @@ def test_trajectory_step_column(tmp_path):
         "0 -0.00000000000000000e+00\n"
         "1 4.94065645841246544e-324\n"
         "2 1.00000000000000005e+300\n")
+
+
+def savetxt_whole(table, header, fmt):
+    """The text of one ``np.savetxt`` call on the whole stacked table."""
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt=fmt, header="\n".join(header), comments="# ")
+    return buf.getvalue()
+
+
+ROW_COUNTS = [0, 1, _table._ROWS, _table._ROWS + 1]
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_blocked_table_is_one_savetxt_of_the_whole(tmp_path, n):
+    rng = np.random.default_rng(n)
+    times, field = rng.standard_normal(n), rng.standard_normal((n, 3))
+    pair = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    header = ["modes 2 real=no", "time value..."]
+    path = tmp_path / "table.txt"
+    _table.write_table(path, header, [times, field, pair])
+    whole = np.hstack([times[:, None], field,
+                       np.stack([pair.real, pair.imag], axis=-1).reshape(n, 4)])
+    assert path.read_text() == savetxt_whole(whole, header, "%.17e")
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_blocked_mode_table_is_one_savetxt_of_the_whole(tmp_path, n):
+    # int, complex, float and string columns: the rows go through object arrays
+    reports = [REPORTS[i % len(REPORTS)] for i in range(n)]
+    whole = np.empty((n, 6), dtype=object)
+    for row, r in zip(whole, reports):
+        row[:] = [r.index, r.eigenvalue.real, r.eigenvalue.imag,
+                  np.inf if r.period is None else r.period, r.amplitude, r.kind]
+    assert written(tmp_path, write_mode_table, reports) == savetxt_whole(
+        whole, ["j re_lambda im_lambda period amplitude kind"],
+        ["%d"] + ["%.17e"] * 4 + ["%s"])
 
 
 @pytest.fixture

@@ -770,7 +770,7 @@ class TestCsrOperand:
     def test_blockwise_csr_matches_csr_array(self):
         op = self.circle_operator()
         assert op.n > spectrend.operator._ROW_BLOCK
-        A, want = spectrend.operator._operand(op.P), scipy.sparse.csr_array(op.P)
+        A, want = spectrend.operator._csr_copy(op.P), scipy.sparse.csr_array(op.P)
         assert scipy.sparse.issparse(A) and A.shape == want.shape
         for name in ("data", "indices", "indptr"):
             got, ref = getattr(A, name), getattr(want, name)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spectrend.embed import delay_embed
-from spectrend.operator import _PAIR_TOL, NumericalError, build_operator, eigendecompose
+from spectrend.operator import _EIG_TOL, NumericalError, build_operator, eigendecompose
 from spectrend.spectral import conjugate_closure, project
 
 COORDS = st.integers(-2**16, 2**16).map(lambda v: v / 1024.0)
@@ -81,7 +81,7 @@ def biorthogonality_bound(dec):
 def test_pairs_are_exact_conjugates_by_construction(pts, s, K, m):
     dec = eigendecompose(operator_or_skip(pts, s, K), m)
     pair, w = dec.pair_index, dec.eigenvalues
-    np.testing.assert_array_equal(pair < 0, abs(w.imag) <= _PAIR_TOL)
+    np.testing.assert_array_equal(pair < 0, abs(w.imag) <= _EIG_TOL)
     np.testing.assert_array_equal(w.imag[pair < 0], 0.0)
     j = np.flatnonzero(pair >= 0)
     np.testing.assert_array_equal(pair[pair[j]], j)      # an involution without fixed points

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import spectrend.spectral
 from spectrend.embed import delay_embed
 from spectrend.models import ModelConfig, regime_mask, simulate
 from spectrend.operator import (
@@ -190,6 +191,29 @@ class TestProject:
         for col in range(3):
             ref = project(random_dec, [1], target[:, col]).series
             np.testing.assert_allclose(proj.series[:, col], ref, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [4, 34, 64])
+    @pytest.mark.parametrize("wanted, closed", [([1, 2, 3], True), ([1, 2], False)])
+    def test_blocked_products_match_the_whole_formula(self, random_dec, monkeypatch,
+                                                      block, wanted, closed):
+        # 69 rows; 34 and 4 leave one row and one column over, which joins the
+        # block before it.  The products stay below OpenBLAS's threading size,
+        # so they run in one thread, as do the unblocked ones.
+        monkeypatch.setattr(spectrend.spectral, "_BLOCK", block)
+        n = random_dec.right_vectors.shape[0]
+        assert n > block
+        target = np.random.default_rng(9).standard_normal((n, 2 * block + 1))
+        proj = project(random_dec, wanted, target)
+        assert proj.realness is closed
+        zero = [i - 1 for i in wanted]
+        V, W = random_dec.right_vectors[:, zero], random_dec.dual_vectors[:, zero]
+        whole = V @ (W.conj().T @ target)
+        if closed:
+            np.testing.assert_array_equal(proj.series, whole.real)
+            assert proj.series.dtype == float
+            assert proj.series.flags.c_contiguous and proj.series.flags.owndata
+        else:
+            np.testing.assert_array_equal(proj.series, whole)
 
     def test_bad_index_and_length(self, random_dec):
         n = random_dec.right_vectors.shape[0]
