@@ -25,6 +25,7 @@ from .operator import (
     SpectralDecomposition,
     build_operator,
     eigendecompose,
+    markov_operator,
 )
 from .spectral import (
     ModeReport,
@@ -62,6 +63,7 @@ __all__ = [
     "SpectralDecomposition",
     "build_operator",
     "eigendecompose",
+    "markov_operator",
     "ModeReport",
     "Projection",
     "classify_modes",

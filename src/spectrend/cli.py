@@ -241,10 +241,8 @@ def _analyze(args):
                             anom["cycle"])
     emb = _run_stage("embed", embed.delay_embed, series,
                      cfg["embedding"]["Q"], cfg["embedding"]["lag"])
-    # no name holds build_operator's dense P, so a P with a CSR copy is freed
-    # before the eigensolve
-    opr = _run_stage("operator", lambda: operator.sparsify(operator.build_operator(
-        emb, cfg["operator"]["step"], cfg["operator"]["knn"])))
+    opr = _run_stage("operator", operator.markov_operator, emb,
+                     cfg["operator"]["step"], cfg["operator"]["knn"])
     # h and the times are views of the series; once they are read, no name
     # holds the embedding, so its cloud is freed before the eigensolve
     h = emb.align(series.samples.reshape(len(series), -1), opr.n)

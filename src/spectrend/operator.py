@@ -9,9 +9,14 @@ s-step-forward shift,
 and row normalization P_ij = S_ij / sum_j S_ij.  The first two steps read
 the (N, dim) cloud in blocks of ``_ROW_BLOCK`` rows: ``knn_bandwidths``
 partitions each block's squared distances to all N points in place, and
-``kernel_matrix`` writes each block's distances to the shifted points straight
-into its rows of a new (N-s) x (N-s) kernel and exponentiates them there.  P
-is normalized in place over the kernel, so the build holds one N x N array.
+``_kernel_rows`` turns each block's distances to the shifted points into its
+kernel rows.  ``build_operator`` writes those rows into a new dense
+(N-s) x (N-s) kernel (``kernel_matrix``) and normalizes it in place into P
+(``row_stochastic``), so it holds one N x N array.  ``markov_operator``, which
+the CLI calls, holds none while P is sparse: it normalizes each block of rows
+in one reused scratch block and appends its nonzeros to CSR arrays, and only
+when their count would pass ``_CSR_DENSITY`` of P does it drop them and build
+the dense P as ``build_operator`` does.  Both give the same P to the bit.
 
 One NumPy kernel, ``_sqdist_rows``, fills the squared distances a row block
 at a time, in one of two forms chosen by the cloud's dimension.  Up to
@@ -54,13 +59,14 @@ a biorthogonal system, which is what makes spectral projections work.
 Only the leading modes are computed: ARPACK's implicitly restarted Arnoldi
 method (``scipy.sparse.linalg.eigs``) runs on P for the right vectors and on
 P^T for the left ones, so the cost grows with the requested mode count
-rather than as N^3.  One helper, ``_csr_copy``, makes the one format
-decision: a CSR copy of P when at most ``_CSR_DENSITY`` (10%) of P is
-nonzero, else None.  ``sparsify`` only applies it, returning the operator
-with that CSR copy as its P, or the operator itself; the CLI keeps only
-``sparsify``'s result, so the dense P is freed before ARPACK starts.
+rather than as N^3.  One rule, ``_csr_capacity``, sets P's format: CSR
+exactly when at most ``_CSR_DENSITY`` (10%) of P is nonzero.  One CSR row
+assembler, ``_CsrRows``, fills the arrays up to that capacity:
+``markov_operator`` streams P's rows into it, and ``_csr_copy`` hands it the
+rows of a dense P that a library caller passes, once a count has shown they
+fit.
 ``eigendecompose`` takes a CSR P as ARPACK's operand and that of every
-residual product; for a dense P it applies the same decision and, where it
+residual product; for a dense P it tries ``_csr_copy`` and, where that
 keeps P dense, builds once a ``LinearOperator`` whose products call
 ``scipy.linalg.blas`` on P itself.  ARPACK asks its caller for every product
 with P, so the caller picks the BLAS.  The NumPy and SciPy wheels each bundle
@@ -98,17 +104,18 @@ from .embed import EmbeddedSeries
 _EIG_TOL = 1e-10
 _MOD_DECIMALS = 9      # modulus quantization for ordering ties
 _KRYLOV_RESTARTS = 50  # ARPACK restart budget before the dense fallback
-# Largest nonzero fraction of P at which ARPACK reads a CSR copy of it.  On a
+# Largest nonzero fraction of P that is held, and read by ARPACK, in CSR.  On a
 # 2-core Xeon a CSR matvec beats the dense one (SciPy's dgemv) below about 0.2
 # nonzero: 0.56 vs 2.0 ms at 0.060 (model F, n = 2979), 4.0 vs 1.8 ms at 0.455
 # (benthic, n = 2954), 0.053 vs 0.048 ms at 0.30 (40x40 field, n = 496, one
 # BLAS thread).  The cutoff sits well below that crossover.
 _CSR_DENSITY = 0.1
 _ROW_BLOCK = 256       # rows per block of the operator build
-_EXP_CAP = 700.0       # largest kernel exponent above its row's smallest (kernel_matrix)
+_EXP_CAP = 700.0       # largest kernel exponent above its row's smallest (_kernel_rows)
 _EXACT_DIM = 16        # largest dimension summed per coordinate (module docstring)
 _COL_BLOCK = 256       # coordinates per centred block of the Gram form
-_CACHE_ROWS = 16       # rows per pass of the per-coordinate sum; its (16, N) blocks stay in cache
+_CACHE_ROWS = 16       # rows per pass of the per-coordinate sum and of the kernel's divide;
+                       # their (16, N) blocks stay in cache
 # Largest Gram rounding bound, as a fraction of the smallest squared bandwidth.
 # It reads 6.8e-11 on the 40x40 field (K = 8), 9e-13 on criterion 7's field.
 _GRAM_TOL = 1e-9
@@ -124,7 +131,7 @@ class MarkovOperator:
     ``emb.align(values, op.n)`` reads any source-indexed array at P's rows, and
     ``s`` and the source's sampling interval ``dt`` set the unit of eigenperiods."""
 
-    P: np.ndarray                 # (N-s, N-s) row stochastic; CSR after ``sparsify``
+    P: np.ndarray                 # (N-s, N-s) row stochastic; CSR from ``markov_operator``
     s: int
     dt: float = 1.0
 
@@ -218,17 +225,20 @@ def kernel_matrix(pts, s: int, bandwidths: np.ndarray) -> np.ndarray:
 
     Returns a new C-ordered (N-s) x (N-s) array S with
     S_ij = exp(-||pts_i - pts_{j+s}||^2 / (d_i d_{j+s})).  Each block of
-    rows' squared distances to ``pts[s:]`` is written straight into its rows
-    of S and exponentiated there, so no other N x N array is made.
-
-    Each exponent is capped at ``_EXP_CAP`` (700) above its row's smallest,
-    which keeps NumPy's ``exp`` on its vector loop: past about 708 it takes a
-    scalar path several times slower.  A row i >= s holds its own point, at
-    exponent 0, so its cap is 700; each of the first s rows finds its own
-    smallest.  A capped entry is at most exp(-700) ~ 1e-304 of its row's
-    largest, so ``row_stochastic`` zeroes it with or without the cap, and P
-    is the same to the bit.
+    rows is written straight into its rows of S by ``_kernel_rows``, so no
+    other N x N array is made.
     """
+    pts, d, gram = _kernel_inputs(pts, s, bandwidths)
+    n = len(pts) - s
+    S = np.empty((n, n))
+    for rows in _blocks(n):
+        _kernel_rows(pts, s, d, rows, S[rows], gram)
+    return S
+
+
+def _kernel_inputs(pts, s: int, bandwidths):
+    """The checked cloud and bandwidths of a kernel at step s, and whether its
+    squared distances take the Gram form (``_gram_form``)."""
     pts = _as_cloud(pts)
     n_all = len(pts)
     if s < 0 or s >= n_all:
@@ -238,43 +248,72 @@ def kernel_matrix(pts, s: int, bandwidths: np.ndarray) -> np.ndarray:
         raise ValueError(f"bandwidths must have length N={n_all}, got {d.shape}")
     if np.any(d <= 0):
         raise NumericalError("bandwidths must be strictly positive")
-    n = n_all - s
-    gram = _gram_form(pts, d.min())
-    S = np.empty((n, n))
-    for rows in _blocks(n):
-        block = _sqdist_rows(pts[rows], pts[s:], S[rows], gram)
-        block /= np.outer(-d[rows], d[s:])    # x / -y is -(x / y) exactly
-        head = block[:max(0, s - rows.start)]    # the block's rows i < s
-        np.maximum(head, head.max(axis=1, keepdims=True) - _EXP_CAP, out=head)
-        np.maximum(block[len(head):], -_EXP_CAP, out=block[len(head):])
-        np.exp(block, out=block)
-    return S
+    return pts, d, _gram_form(pts, d.min())
+
+
+def _kernel_rows(pts: np.ndarray, s: int, d: np.ndarray, rows: slice, out: np.ndarray,
+                 gram: bool) -> np.ndarray:
+    """Kernel rows ``rows`` of ``kernel_matrix(pts, s, d)``, written into the
+    (len(rows), N-s) array ``out`` and returned.
+
+    Each exponent is capped at ``_EXP_CAP`` (700) above its row's smallest,
+    which keeps NumPy's ``exp`` on its vector loop: past about 708 it takes a
+    scalar path several times slower.  A row i >= s holds its own point, at
+    exponent 0, so its cap is 700; each of the first s rows finds its own
+    smallest.  A capped entry is at most exp(-700) ~ 1e-304 of its row's
+    largest, so ``_normalize_rows`` zeroes it with or without the cap, and P
+    is the same to the bit.
+    """
+    block = _sqdist_rows(pts[rows], pts[s:], out, gram)
+    for sub in _blocks(len(block), _CACHE_ROWS):    # no block-sized denominator
+        block[sub] /= np.outer(-d[rows][sub], d[s:])    # x / -y is -(x / y) exactly
+    head = block[:max(0, s - rows.start)]    # the block's rows i < s
+    np.maximum(head, head.max(axis=1, keepdims=True) - _EXP_CAP, out=head)
+    np.maximum(block[len(head):], -_EXP_CAP, out=block[len(head):])
+    np.exp(block, out=block)
+    return block
+
+
+def _row_sums(S: np.ndarray, first: int = 0) -> np.ndarray:
+    """Row sums of kernel rows ``S``, the first of which is kernel row ``first``.
+
+    Raises NumericalError, naming kernel rows, for a row that cannot be
+    normalized: one with a NaN or inf entry, whose sum is not finite, or one
+    that sums to zero.
+    """
+    sums = S.sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        raise NumericalError(
+            f"kernel has non-finite entries in {bad.size} row(s), first row {first + bad[0]}: "
+            "squared distances overflow the float range; rescale the data")
+    dead = np.flatnonzero(sums <= 0.0)
+    if dead.size:
+        raise NumericalError(
+            f"kernel row {first + dead[0]} sums to zero (isolated point); cannot normalize")
+    return sums
+
+
+def _normalize_rows(block: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Kernel rows divided in place by their ``sums``, with every entry
+    below eps zeroed: negligible against each row's sum of 1, the many
+    subnormal ones would make every matrix product several times slower."""
+    block /= sums[:, None]
+    block[block < np.finfo(float).eps] = 0.0
+    return block
 
 
 def row_stochastic(S: np.ndarray) -> np.ndarray:
     """Normalize kernel rows to one and return the Markov matrix P.
 
     A C-contiguous float64 ``S`` is normalized in place and becomes P; any
-    other input is copied first.  On a NumericalError ``S`` is left unchanged.
+    other input is copied first.  Every row sum is checked before any row is
+    normalized, so on a NumericalError ``S`` is left unchanged.
     """
     S = np.ascontiguousarray(S, dtype=float)
-    sums = S.sum(axis=1)
-    # a NaN or inf entry makes its row sum non-finite
-    bad = np.flatnonzero(~np.isfinite(sums))
-    if bad.size:
-        raise NumericalError(
-            f"kernel has non-finite entries in {bad.size} row(s), first row {bad[0]}: "
-            "squared distances overflow the float range; rescale the data")
-    dead = np.flatnonzero(sums <= 0.0)
-    if dead.size:
-        raise NumericalError(
-            f"kernel row {dead[0]} sums to zero (isolated point); cannot normalize")
+    sums = _row_sums(S)
     for rows in _blocks(len(S)):
-        block = S[rows]
-        block /= sums[rows, None]
-        # Entries below eps are negligible against each row's sum of 1, but
-        # the many subnormal ones make every matrix product several times slower.
-        block[block < np.finfo(float).eps] = 0.0
+        _normalize_rows(S[rows], sums[rows])
     return S
 
 
@@ -332,21 +371,60 @@ def _gram_form(pts: np.ndarray, d_min: float) -> bool:
     return bool(dim * np.finfo(float).eps * norm2.max() <= _GRAM_TOL * d_min ** 2)
 
 
+def _scaled_cloud(emb: EmbeddedSeries) -> np.ndarray:
+    """The embedding's cloud, rescaled by a power of two where its squared
+    distances could overflow or underflow.  P is invariant under that
+    scaling, which is exact."""
+    pts = emb.points
+    e = np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1]
+    return np.ldexp(pts, -e) if abs(e) > 400 else pts
+
+
 def build_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
-    """Bandwidths + kernel + normalization on an embedded cloud.
+    """Bandwidths + kernel + normalization on an embedded cloud, with a dense P.
 
     The operator's rows are the first N - s rows of ``emb``; it carries ``s``
     and ``emb.dt``, which set the unit of eigenperiods.  Row times, or any
     other per-sample values, are ``emb.align(values, op.n)``.
     """
-    pts = emb.points
-    # P is invariant under scaling by a power of two, which is exact; rescale
-    # only a cloud whose squared distances could overflow or underflow
-    e = np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1]
-    if abs(e) > 400:
-        pts = np.ldexp(pts, -e)
+    pts = _scaled_cloud(emb)
     d = knn_bandwidths(pts, K)
     return MarkovOperator(row_stochastic(kernel_matrix(pts, s, d)), s, emb.dt)
+
+
+def markov_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
+    """``build_operator``'s P, in the format ARPACK reads: CSR when at most
+    ``_CSR_DENSITY`` of it is nonzero, else dense.
+
+    Pass 2 streams P's normalized rows into CSR arrays (``_streamed_csr``).
+    When their count would pass ``_CSR_DENSITY`` of P, the stream is dropped
+    and the dense P is built afresh by ``kernel_matrix`` and
+    ``row_stochastic``.  Either P equals ``build_operator``'s to the bit.
+    """
+    pts = _scaled_cloud(emb)
+    d = knn_bandwidths(pts, K)
+    P = _streamed_csr(pts, s, d)
+    if P is None:
+        P = row_stochastic(kernel_matrix(pts, s, d))
+    return MarkovOperator(P, s, emb.dt)
+
+
+def _streamed_csr(pts, s: int, bandwidths):
+    """CSR P straight from the kernel rows, a block of ``_ROW_BLOCK`` rows at
+    a time in one reused scratch block, or None once more than
+    ``_CSR_DENSITY`` of P is nonzero.
+
+    A NumericalError names the first block holding a row that cannot be
+    normalized, where ``row_stochastic`` checks all rows before it names one.
+    """
+    pts, d, gram = _kernel_inputs(pts, s, bandwidths)
+    n = len(pts) - s
+    rows_out, block = _CsrRows((n, n)), np.empty((min(_ROW_BLOCK, n), n))
+    for rows in _blocks(n):
+        S = _kernel_rows(pts, s, d, rows, block[:rows.stop - rows.start], gram)
+        if not rows_out.append(rows, _normalize_rows(S, _row_sums(S, rows.start))):
+            return None
+    return rows_out.array()
 
 
 def _in_mode_order(w: np.ndarray, *vecs):
@@ -437,46 +515,69 @@ def _blas_operator(P: np.ndarray):
         matmat=lambda X: dgemm(1.0, PT, X, trans_a=1), rmatmat=lambda X: dgemm(1.0, PT, X))
 
 
-def _csr_copy(P: np.ndarray):
-    """The one format decision: a CSR copy of dense P when at most
-    ``_CSR_DENSITY`` of it is nonzero, else None.
+def _csr_capacity(shape) -> int:
+    """The one format rule: a matrix of this shape is held in CSR exactly
+    when at most this many, ``_CSR_DENSITY`` of its entries, are nonzero."""
+    return int(_CSR_DENSITY * shape[0] * shape[1])
 
-    The copy is built in blocks of ``_ROW_BLOCK`` rows: one pass counts each
-    row's nonzeros, and stops at the block whose running total passes
-    ``_CSR_DENSITY`` of P; the counts' cumulative sum is ``indptr``, and a
-    second pass fills ``data`` and ``indices``.
+
+class _CsrRows:
+    """CSR arrays of an (n_rows, n_cols) matrix, filled a block of rows at a
+    time, in order, up to ``_csr_capacity`` nonzeros.
+
+    ``data`` and ``indices`` are allocated at that capacity; the pages past
+    the rows appended are never written, so only the nonzeros kept take
+    memory.  Indices are int32, as ``csr_array`` picks for such shapes,
+    wherever the capacity fits in it: up to n_rows = n_cols of about 146,000,
+    far past any n whose O(n^2 dim) distance passes are practical.
     """
-    n_rows, n_cols = P.shape
-    counts, total = np.empty(n_rows, dtype=np.int64), 0
-    for rows in _blocks(n_rows):
-        counts[rows] = np.count_nonzero(P[rows], axis=1)
-        total += counts[rows].sum()
-        if total > _CSR_DENSITY * P.size:
-            return None
-    # int32 indices, as csr_array(P) picks: nnz <= n^2 / 10 stays below 2^31
-    # for any n whose dense P (8 n^2 bytes) fits in memory
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-    for rows in _blocks(n_rows):
-        block = P[rows]
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.capacity = _csr_capacity(shape)
+        index = np.int32 if self.capacity <= np.iinfo(np.int32).max else np.int64
+        self.data = np.empty(self.capacity)
+        self.indices = np.empty(self.capacity, dtype=index)
+        self.indptr = np.zeros(shape[0] + 1, dtype=index)
+
+    def append(self, rows: slice, block: np.ndarray) -> bool:
+        """Append the nonzeros of ``block``, the matrix's rows ``rows``; False,
+        with nothing appended, when they would pass the capacity."""
         nonzero = block != 0.0
-        span = slice(indptr[rows.start], indptr[rows.stop])
-        data[span] = block[nonzero]
-        indices[span] = np.flatnonzero(nonzero) % n_cols
-    return scipy.sparse.csr_array((data, indices, indptr), shape=P.shape)
+        start = self.indptr[rows.start]
+        ptr = start + np.cumsum(np.count_nonzero(nonzero, axis=1))
+        if ptr[-1] > self.capacity:
+            return False
+        self.indptr[rows.start + 1:rows.stop + 1] = ptr
+        span = slice(start, self.indptr[rows.stop])
+        self.data[span] = block[nonzero]
+        self.indices[span] = np.flatnonzero(nonzero) % self.shape[1]
+        return True
+
+    def array(self):
+        """The CSR array of the rows appended, all of them."""
+        nnz = self.indptr[-1]
+        return scipy.sparse.csr_array(
+            (self.data[:nnz], self.indices[:nnz], self.indptr), shape=self.shape)
 
 
-def sparsify(op: MarkovOperator) -> MarkovOperator:
-    """``op`` with its dense P replaced by the CSR copy ``_csr_copy`` makes,
-    else ``op`` itself.
+def _csr_copy(P: np.ndarray):
+    """A CSR copy of dense P when at most ``_csr_capacity`` of its entries are
+    nonzero, else None.
 
-    This decides the format only: it builds no operand for a P it keeps
-    dense.  ``eigendecompose`` reads a CSR P as it is, so a caller that keeps
-    only the result holds no dense P during the eigensolve.
+    A first pass counts the nonzeros of each block of ``_ROW_BLOCK`` rows
+    and stops once their running total passes the capacity, so a P kept
+    dense is never copied; a second hands the blocks to ``_CsrRows``.
     """
-    A = _csr_copy(op.P)
-    return op if A is None else dataclasses.replace(op, P=A)
+    capacity, total = _csr_capacity(P.shape), 0
+    for rows in _blocks(P.shape[0]):
+        total += np.count_nonzero(P[rows])
+        if total > capacity:
+            return None
+    rows_out = _CsrRows(P.shape)
+    for rows in _blocks(P.shape[0]):
+        rows_out.append(rows, P[rows])
+    return rows_out.array()
 
 
 def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecomposition:
@@ -490,10 +591,11 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     pair (0 < |Im| <= ``_EIG_TOL``) becomes two real modes at Re lambda with
     the real basis (Re v, Im v) and duals biorthogonal to it.
 
-    P may be dense or, as ``sparsify`` leaves it, CSR.  A CSR P is ARPACK's
-    operand as it is, and is densified only if the dense fallback runs.  A
-    dense P is copied to CSR where ``_csr_copy`` picks that format, and is
-    otherwise read through the one ``_blas_operator`` built here.
+    P may be dense or, as ``markov_operator`` builds a sparse one, CSR.  A
+    CSR P is ARPACK's operand as it is, and is densified only if the dense
+    fallback runs.  A dense P is copied to CSR where ``_csr_copy`` picks that
+    format, and is otherwise read through the one ``_blas_operator`` built
+    here.
     """
     P, n = op.P, op.n
     m = n if m is None else m

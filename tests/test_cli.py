@@ -334,33 +334,35 @@ class TestAnalyze:
         import scipy.sparse
         import scipy.sparse.linalg as sla
 
-        built, blas, solves = [], [], []
-        build, eigs, blas_operator = operator.build_operator, sla.eigs, operator._blas_operator
-
-        def build_spy(*args):
-            op = build(*args)
-            built.append(weakref.ref(op.P))
-            return op
+        dense, blas, solves = [], [], []
+        eigs, blas_operator = sla.eigs, operator._blas_operator
+        for name in ("kernel_matrix", "row_stochastic"):
+            def spy(*args, _f=getattr(operator, name), _name=name):
+                dense.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(operator, name, spy)
 
         def blas_spy(P):
             blas.append(blas_operator(P))
             return blas[-1]
 
         def eigs_spy(A, **kwargs):
-            solves.append((A, built[0]() is not None))
+            solves.append(A)
             return eigs(A, **kwargs)
 
-        monkeypatch.setattr(operator, "build_operator", build_spy)
         monkeypatch.setattr(operator, "_blas_operator", blas_spy)
         monkeypatch.setattr(sla, "eigs", eigs_spy)
         assert main(["analyze", "--seed", "0", "--steps", str(steps), "--knn", str(knn),
                      "--modes", "6", "--out", str(tmp_path)]) == 0
-        (A, alive), (AT, _) = solves
-        assert alive is not csr
+        A, AT = solves
         if csr:
-            assert scipy.sparse.issparse(A) and scipy.sparse.issparse(AT) and blas == []
+            # P's rows went straight into CSR: no dense kernel or P was built
+            assert dense == [] and blas == []
+            assert scipy.sparse.issparse(A) and scipy.sparse.issparse(AT)
         else:
-            # sparsify decides the format only; eigendecompose builds the one operand
+            # the stream passed 10% nonzero and restarted into the dense build;
+            # eigendecompose builds the one BLAS operand
+            assert dense == ["kernel_matrix", "row_stochastic"]
             assert len(blas) == 1 and A is blas[0]
 
     def test_deterministic_outputs(self, tmp_path):
@@ -853,9 +855,9 @@ def test_number_no_float_holds_exits_2_before_any_output(tmp_path, monkeypatch, 
 def test_other_exception_in_a_stage_propagates(tmp_path, monkeypatch, exc_type):
     # bad input raises ValueError or OSError and a numerical failure
     # NumericalError; anything else is a bug, not an exit code
-    def build_operator(*args, **kwargs):
+    def markov_operator(*args, **kwargs):
         raise exc_type("bug")
 
-    monkeypatch.setattr(spectrend.operator, "build_operator", build_operator)
+    monkeypatch.setattr(spectrend.operator, "markov_operator", markov_operator)
     with pytest.raises(exc_type):
         main(["analyze", "--steps", "300", "--out", str(tmp_path / "o")])

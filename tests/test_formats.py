@@ -146,14 +146,14 @@ def stub_pipeline(monkeypatch):
     """CLI runs whose operator, decomposition and mode reports are hand-built."""
     dec = decomposition([1.0, 0.125j, -0.125j, 0.75], np.zeros(4))
 
-    def build_operator(emb, s, K, **kw):
+    def markov_operator(emb, s, K, **kw):
         # a real operator has n_points - s rows; a cloud too short for the
         # stub's three is rejected under [operator], never misaligned
         if emb.n_points - s < 3:
             raise ValueError(f"{emb.n_points} points leave fewer than 3 rows at step {s}")
         return types.SimpleNamespace(n=3, P=np.full((3, 3), 1.0 / 3.0))
 
-    monkeypatch.setattr(operator, "build_operator", build_operator)
+    monkeypatch.setattr(operator, "markov_operator", markov_operator)
     monkeypatch.setattr(operator, "eigendecompose", lambda op, m: dec)
     monkeypatch.setattr(spectral, "classify_modes", lambda dec, target: REPORTS)
 

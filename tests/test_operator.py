@@ -21,8 +21,8 @@ from spectrend.operator import (
     eigendecompose,
     kernel_matrix,
     knn_bandwidths,
+    markov_operator,
     row_stochastic,
-    sparsify,
     write_eigenvalue_table,
 )
 from spectrend.spectral import eigenperiod, nearest_pair, project
@@ -609,6 +609,10 @@ class TestRowBlockedBuild:
         assert P is S and P.flags.c_contiguous
         np.testing.assert_array_equal(P, P_ref)
         np.testing.assert_array_equal(build_operator(delay_embed(pts, 1, 1), s, 5).P, P_ref)
+        # every case is over 10% nonzero, so the stream restarts into the dense build
+        P = markov_operator(delay_embed(pts, 1, 1), s, 5).P
+        assert type(P) is np.ndarray
+        np.testing.assert_array_equal(P, P_ref)
 
     def test_build_holds_one_distance_matrix(self):
         # NumPy reports its buffers to tracemalloc; the kernel, normalized in
@@ -622,6 +626,21 @@ class TestRowBlockedBuild:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * emb.n_points ** 2 * 8
+
+    def test_streamed_build_holds_no_dense_p(self):
+        # model F's P is 6.6% nonzero: the streamed build's largest buffers are
+        # its CSR arrays and blocks of rows, where the dense build holds all of P
+        emb = TestCsrOperand.streamed_case("model_F")[0]
+        peaks = {}
+        for build in (markov_operator, build_operator):
+            tracemalloc.start()
+            try:
+                n = build(emb, 1, 10).n
+                _, peaks[build] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[markov_operator] <= 0.5 * 8 * n ** 2
+        assert peaks[build_operator] >= 8 * n ** 2
 
     def test_exponent_past_700_leaves_p_zero(self):
         # P is exactly 0 wherever the kernel exponent exceeds 700, so a floor
@@ -657,8 +676,9 @@ class TestRowBlockedBuild:
     def test_head_row_past_745_still_sums_to_zero(self):
         pts, exponent = self.far_head_row(1600.0)
         assert exponent.min() > 745
-        with pytest.raises(NumericalError, match="row 0 sums to zero"):
-            build_operator(delay_embed(pts, 1, 1), 1, 2)
+        for build in (build_operator, markov_operator):
+            with pytest.raises(NumericalError, match="row 0 sums to zero"):
+                build(delay_embed(pts, 1, 1), 1, 2)
 
     def test_failed_normalization_leaves_kernel_unchanged(self):
         S = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -691,11 +711,21 @@ class TestCsrOperand:
         return calls
 
     @staticmethod
+    def streamed_case(case):
+        """An embedding whose P is under 10% nonzero, with its step s and K:
+        the circle operator's (320 rows, two blocks) or model F's (seed 0,
+        N=1200, K=10, 6.6% nonzero)."""
+        if case == "circle":
+            # one tone delay-embedded onto a circle that it winds around many
+            # times; with K=3 each point's kernel reaches only its arc of it
+            h = np.cos(2.0 * np.pi * np.arange(330.0) / 37.7)
+            return delay_embed(h, Q=2, ell=9), 1, 3
+        traj = simulate(ModelConfig(kind="F", n_steps=1200, seed=0))
+        return delay_embed(traj.observations, Q=3, ell=10), 1, 10
+
+    @staticmethod
     def circle_operator():
-        # one tone delay-embedded onto a circle that it winds around many
-        # times; with K=3 each point's kernel reaches only its arc of it
-        h = np.cos(2.0 * np.pi * np.arange(330.0) / 37.7)
-        return build_operator(delay_embed(h, Q=2, ell=9), 1, 3)
+        return build_operator(*TestCsrOperand.streamed_case("circle"))
 
     def test_sparse_operator_runs_on_csr(self, operands):
         op = self.circle_operator()
@@ -756,7 +786,7 @@ class TestCsrOperand:
 
     def test_fallback_densifies_a_csr_p(self, operands):
         P = np.roll(np.eye(40), 1, axis=1)
-        op = sparsify(MarkovOperator(P=P.copy(), s=1))
+        op = MarkovOperator(P=spectrend.operator._csr_copy(P), s=1)
         assert scipy.sparse.issparse(op.P)
         dec = eigendecompose(op, 5)
         assert operands["eigs"] and operands["eigs"][0] is op.P
@@ -766,6 +796,62 @@ class TestCsrOperand:
         z = np.exp(2j * np.pi / 40.0)
         np.testing.assert_allclose(dec.eigenvalues, [1.0, z, z.conjugate(), z**2, z.conjugate()**2],
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["circle", "model_F"])
+    def test_streamed_rows_match_csr_array(self, monkeypatch, case):
+        emb, s, K = self.streamed_case(case)
+        want = scipy.sparse.csr_array(build_operator(emb, s, K).P)
+
+        def unused(*args):
+            raise AssertionError("a sparse P is streamed, not built dense")
+
+        monkeypatch.setattr(spectrend.operator, "kernel_matrix", unused)
+        monkeypatch.setattr(spectrend.operator, "row_stochastic", unused)
+        op = markov_operator(emb, s, K)
+        assert op.n == want.shape[0] and (op.s, op.dt) == (s, emb.dt)
+        assert scipy.sparse.issparse(op.P) and op.P.shape == want.shape
+        assert want.nnz / np.prod(want.shape) < spectrend.operator._CSR_DENSITY
+        for name in ("data", "indices", "indptr"):
+            got, ref = getattr(op.P, name), getattr(want, name)
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
+
+    def test_dense_p_is_build_operators(self):
+        # TestKrylovPath.kernel_operator(0)'s cloud: P is 98% nonzero
+        emb = delay_embed(random_cloud(301, 3, seed=0), 1, 1)
+        P = markov_operator(emb, 1, 8).P
+        assert type(P) is np.ndarray and P.flags.c_contiguous
+        np.testing.assert_array_equal(P, build_operator(emb, 1, 8).P)
+
+    @staticmethod
+    def streamed(P):
+        """P's row blocks appended to the CSR assembler, as the streamed build
+        appends them: whether each append fit, and the assembler."""
+        rows_out = spectrend.operator._CsrRows(P.shape)
+        return [rows_out.append(rows, P[rows])
+                for rows in spectrend.operator._blocks(len(P))], rows_out
+
+    def test_format_rule_at_its_edge(self):
+        block = spectrend.operator._ROW_BLOCK
+        n = 2 * block + 8    # the last block holds 8 rows
+        cap = int(spectrend.operator._CSR_DENSITY * n * n)
+        rng = np.random.default_rng(0)
+        P = np.zeros((n, n))
+        P.flat[rng.choice(n * n, cap, replace=False)] = rng.random(cap) + 0.5
+        fits, rows_out = self.streamed(P)
+        assert fits == [True, True, True]
+        want = scipy.sparse.csr_array(P)
+        for A in (spectrend.operator._csr_copy(P), rows_out.array()):
+            assert scipy.sparse.issparse(A) and A.nnz == cap
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(A, name), getattr(want, name))
+        # one more nonzero, in the last row: the running count first passes
+        # the capacity in the last block
+        P[-1, np.flatnonzero(P[-1] == 0.0)[0]] = 1.0
+        assert np.count_nonzero(P) == cap + 1
+        assert np.count_nonzero(P[:2 * block]) <= cap
+        assert spectrend.operator._csr_copy(P) is None
+        assert self.streamed(P)[0] == [True, True, False]
 
     def test_blockwise_csr_matches_csr_array(self):
         op = self.circle_operator()
