@@ -23,7 +23,6 @@ from .operator import (
     MarkovOperator,
     NumericalError,
     SpectralDecomposition,
-    build_operator,
     eigendecompose,
     markov_operator,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "MarkovOperator",
     "NumericalError",
     "SpectralDecomposition",
-    "build_operator",
     "eigendecompose",
     "markov_operator",
     "ModeReport",

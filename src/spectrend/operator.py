@@ -59,20 +59,17 @@ a biorthogonal system, which is what makes spectral projections work.
 Only the leading modes are computed: ARPACK's implicitly restarted Arnoldi
 method (``scipy.sparse.linalg.eigs``) runs on P for the right vectors and on
 P^T for the left ones, so the cost grows with the requested mode count
-rather than as N^3.  One rule, ``_csr_capacity``, sets P's format: CSR
-exactly when at most ``_CSR_DENSITY`` (10%) of P is nonzero.  One CSR row
-assembler, ``_CsrRows``, fills the arrays up to that capacity:
-``markov_operator`` streams P's rows into it, and ``_csr_copy`` hands it the
-rows of a dense P that a library caller passes, once a count has shown they
-fit.
-``eigendecompose`` takes a CSR P as ARPACK's operand and that of every
-residual product; for a dense P it tries ``_csr_copy`` and, where that
-keeps P dense, builds once a ``LinearOperator`` whose products call
-``scipy.linalg.blas`` on P itself.  ARPACK asks its caller for every product
-with P, so the caller picks the BLAS.  The NumPy and SciPy wheels each bundle
-an OpenBLAS; ARPACK and LAPACK link SciPy's and NumPy's ``@`` runs in
-NumPy's, so dense products through SciPy's keep the eigensolve in one
-OpenBLAS thread pool, not two competing for the same cores.
+rather than as N^3.  The builder picks P's format, and ``eigendecompose``
+keeps it: ``markov_operator`` streams P's rows into CSR through ``_CsrRows``
+while at most ``_CSR_DENSITY`` (10%) of P is nonzero, and builds it dense
+otherwise; ``build_operator`` always builds it dense.  A CSR P is ARPACK's
+operand and that of every residual product as it is.  A dense P is read
+through one ``LinearOperator`` whose products call ``scipy.linalg.blas`` on P
+itself.  ARPACK asks its caller for every product with P, so the caller picks
+the BLAS.  The NumPy and SciPy wheels each bundle an OpenBLAS; ARPACK and
+LAPACK link SciPy's and NumPy's ``@`` runs in NumPy's, so dense products
+through SciPy's keep the eigensolve in one OpenBLAS thread pool, not two
+competing for the same cores.
 ``_leading_eigs`` alone judges whether ARPACK can answer.  It returns None
 for a request ARPACK cannot take (modes + 2 not below N - 1), when ARPACK
 failed or did not converge within ``_KRYLOV_RESTARTS`` restarts, when an
@@ -129,9 +126,12 @@ class NumericalError(RuntimeError):
 class MarkovOperator:
     """Row-stochastic P on the first N - s rows of an ``EmbeddedSeries`` emb;
     ``emb.align(values, op.n)`` reads any source-indexed array at P's rows, and
-    ``s`` and the source's sampling interval ``dt`` set the unit of eigenperiods."""
+    ``s`` and the source's sampling interval ``dt`` set the unit of eigenperiods.
 
-    P: np.ndarray                 # (N-s, N-s) row stochastic; CSR from ``markov_operator``
+    P is a dense array or a CSR array, as its builder chose; ``eigendecompose``
+    solves it in that format."""
+
+    P: np.ndarray | scipy.sparse.csr_array    # (N-s, N-s) row stochastic
     s: int
     dt: float = 1.0
 
@@ -400,6 +400,8 @@ def markov_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
     When their count would pass ``_CSR_DENSITY`` of P, the stream is dropped
     and the dense P is built afresh by ``kernel_matrix`` and
     ``row_stochastic``.  Either P equals ``build_operator``'s to the bit.
+    ``eigendecompose`` keeps the format chosen here: it hands a CSR P to
+    ARPACK as it is and reads a dense one through BLAS.
     """
     pts = _scaled_cloud(emb)
     d = knn_bandwidths(pts, K)
@@ -460,7 +462,7 @@ def _dense_eigs(P: np.ndarray):
 
 
 def _leading_eigs(A, m: int):
-    """Leading eigenpairs of A, a CSR copy or ``_blas_operator`` of P, in mode order.
+    """Leading eigenpairs of A, a CSR P or the ``_blas_operator`` of a dense one, in mode order.
 
     Returns (w, vl, vr) with at least ``_retained(w, m)`` modes, vl[:, j] an
     eigenvector of A^T at conj(w_j) as ``scipy.linalg.eig`` returns it; or None
@@ -515,15 +517,9 @@ def _blas_operator(P: np.ndarray):
         matmat=lambda X: dgemm(1.0, PT, X, trans_a=1), rmatmat=lambda X: dgemm(1.0, PT, X))
 
 
-def _csr_capacity(shape) -> int:
-    """The one format rule: a matrix of this shape is held in CSR exactly
-    when at most this many, ``_CSR_DENSITY`` of its entries, are nonzero."""
-    return int(_CSR_DENSITY * shape[0] * shape[1])
-
-
 class _CsrRows:
     """CSR arrays of an (n_rows, n_cols) matrix, filled a block of rows at a
-    time, in order, up to ``_csr_capacity`` nonzeros.
+    time, in order, up to ``_CSR_DENSITY`` of its entries nonzero.
 
     ``data`` and ``indices`` are allocated at that capacity; the pages past
     the rows appended are never written, so only the nonzeros kept take
@@ -534,7 +530,7 @@ class _CsrRows:
 
     def __init__(self, shape):
         self.shape = shape
-        self.capacity = _csr_capacity(shape)
+        self.capacity = int(_CSR_DENSITY * shape[0] * shape[1])
         index = np.int32 if self.capacity <= np.iinfo(np.int32).max else np.int64
         self.data = np.empty(self.capacity)
         self.indices = np.empty(self.capacity, dtype=index)
@@ -561,25 +557,6 @@ class _CsrRows:
             (self.data[:nnz], self.indices[:nnz], self.indptr), shape=self.shape)
 
 
-def _csr_copy(P: np.ndarray):
-    """A CSR copy of dense P when at most ``_csr_capacity`` of its entries are
-    nonzero, else None.
-
-    A first pass counts the nonzeros of each block of ``_ROW_BLOCK`` rows
-    and stops once their running total passes the capacity, so a P kept
-    dense is never copied; a second hands the blocks to ``_CsrRows``.
-    """
-    capacity, total = _csr_capacity(P.shape), 0
-    for rows in _blocks(P.shape[0]):
-        total += np.count_nonzero(P[rows])
-        if total > capacity:
-            return None
-    rows_out = _CsrRows(P.shape)
-    for rows in _blocks(P.shape[0]):
-        rows_out.append(rows, P[rows])
-    return rows_out.array()
-
-
 def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecomposition:
     """Top-m eigenpairs of P with duals from the transposed matrix.
 
@@ -591,20 +568,17 @@ def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecom
     pair (0 < |Im| <= ``_EIG_TOL``) becomes two real modes at Re lambda with
     the real basis (Re v, Im v) and duals biorthogonal to it.
 
-    P may be dense or, as ``markov_operator`` builds a sparse one, CSR.  A
-    CSR P is ARPACK's operand as it is, and is densified only if the dense
-    fallback runs.  A dense P is copied to CSR where ``_csr_copy`` picks that
-    format, and is otherwise read through the one ``_blas_operator`` built
-    here.
+    P is solved in the format its builder chose.  A CSR P, as
+    ``markov_operator`` builds a sparse one, is ARPACK's operand as it is, and
+    is densified only if the dense fallback runs.  A dense P is read through
+    the one ``_blas_operator`` built here.
     """
     P, n = op.P, op.n
     m = n if m is None else m
     if not 1 <= m <= n:
         raise ValueError(f"mode count m must lie in [1, {n}], got {m}")
     sparse = scipy.sparse.issparse(P)
-    A = P if sparse else _csr_copy(P)
-    if A is None:
-        A = _blas_operator(P)
+    A = P if sparse else _blas_operator(P)
     found = _leading_eigs(A, m)
     w, vl, vr = _dense_eigs(P.toarray() if sparse else P) if found is None else found
     # do not split a conjugate pair at the retention boundary

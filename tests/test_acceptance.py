@@ -10,12 +10,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.spatial.distance import cdist
 
 from spectrend.data import load_benthic_fixture, load_field_stack, scatter_back
 from spectrend.embed import delay_embed, ellipse_area, ellipse_axes, ellipse_curve
 from spectrend.models import ModelConfig, regime_mask, simulate
-from spectrend.operator import build_operator, eigendecompose, knn_bandwidths
+from spectrend.operator import eigendecompose, knn_bandwidths, markov_operator
 from spectrend.spectral import (
     affine_scale,
     conjugate_closure,
@@ -102,7 +103,7 @@ def test_criterion_2_operator_properties(capsys):
     with criterion(capsys, 2, "Markov operator property suite", 10.0):
         traj = simulate(ModelConfig(kind="F", n_steps=500, seed=6))
         emb = delay_embed(traj.observations, Q=3, ell=10)
-        op = build_operator(emb, 1, 8)
+        op = markov_operator(emb, 1, 8)
         assert np.all(op.P >= 0.0)
         np.testing.assert_allclose(op.P.sum(axis=1), 1.0, atol=1e-12)
         dec = eigendecompose(op, 12)
@@ -135,7 +136,7 @@ def test_criterion_3_pure_rotation_oracle(capsys):
     with criterion(capsys, 3, "pure-rotation frequency recovery", 30.0):
         h = np.cos(np.arange(2000) * 2.0 * np.pi / 40.0)
         emb = delay_embed(h, Q=3, ell=10)
-        dec = eigendecompose(build_operator(emb, 1, 15), 5)
+        dec = eigendecompose(markov_operator(emb, 1, 15), 5)
         want = 2.0 * np.pi / 40.0
         got = abs(np.angle(dec.eigenvalues[1]))
         note(capsys, f"  arg(lambda_2)={got:.10f} target={want:.10f} "
@@ -151,7 +152,9 @@ def test_criterion_4_switching_frequency_reproduction(capsys, dense_calls):  # n
         for seed in range(5):
             traj = simulate(ModelConfig(kind="F", n_steps=3000, seed=seed))
             emb = delay_embed(traj.observations, Q=3, ell=10)
-            op = build_operator(emb, 1, 25)
+            op = markov_operator(emb, 1, 25)
+            # P is about 6% nonzero: the CSR operand switching_F solves
+            assert scipy.sparse.issparse(op.P)
             dec = eigendecompose(op, 24)
             h, fast = rows_of(traj, emb, op.n)
             j40 = nearest_pair(dec, 40.0)
@@ -185,7 +188,7 @@ def test_criterion_5_drift_trend_recovery(capsys):
         n = 2000
         traj = simulate(ModelConfig(kind="M", n_steps=n, drift="linear"))
         emb = delay_embed(traj.observations, Q=3, ell=16)
-        op = build_operator(emb, 1, 15)
+        op = markov_operator(emb, 1, 15)
         dec = eigendecompose(op, 8)
         jt, mode = trend_mode(dec)
         truth = emb.align(traj.x, op.n)
@@ -196,7 +199,7 @@ def test_criterion_5_drift_trend_recovery(capsys):
         # mean drift, rise-then-fall law
         traj = simulate(ModelConfig(kind="M", n_steps=n, drift="quadratic"))
         emb = delay_embed(traj.observations, Q=3, ell=16)
-        op = build_operator(emb, 1, 15)
+        op = markov_operator(emb, 1, 15)
         dec = eigendecompose(op, 8)
         jt, mode = trend_mode(dec)
         truth = emb.align(traj.x, op.n)
@@ -206,7 +209,7 @@ def test_criterion_5_drift_trend_recovery(capsys):
         # amplitude drift: trend plus the rotation rate off the leading pair
         traj = simulate(ModelConfig(kind="A", n_steps=n, a=1.0))
         emb = delay_embed(traj.observations, Q=2, ell=16)
-        op = build_operator(emb, 1, 15)
+        op = markov_operator(emb, 1, 15)
         dec = eigendecompose(op, 8)
         jt, mode = trend_mode(dec)
         truth = 1.0 + emb.align(traj.x, op.n)
@@ -232,7 +235,7 @@ def test_criterion_6_isotope_stack_reproduction(capsys, dense_calls):  # noqa: F
     with criterion(capsys, 6, "isotope-stack glaciation cycles", 120.0):
         series = load_benthic_fixture()
         emb = delay_embed(series, Q=5, ell=10)
-        op = build_operator(emb, 7, 7)
+        op = markov_operator(emb, 7, 7)
         dec = eigendecompose(op, 12)
         lam2 = dec.eigenvalues[1]
         assert abs(lam2.imag) < 1e-10
@@ -293,7 +296,7 @@ def test_criterion_7_field_ingestion_substitute(capsys):
         np.testing.assert_array_equal(back, field)  # identity incl. sentinels
 
         emb = delay_embed(series, Q=2, ell=3)
-        op = build_operator(emb, 1, 8)
+        op = markov_operator(emb, 1, 8)
         dec = eigendecompose(op, 10)
         target = emb.align(series.samples, op.n)
         idx = conjugate_closure(dec, range(1, dec.n_modes + 1))

@@ -329,8 +329,8 @@ class TestAnalyze:
     # model F seed 0 at 1200 steps and K=10 gives P 6.6% nonzero, at 600 and K=25 27%
     @pytest.mark.parametrize("steps, knn, csr", [(1200, 10, True), (600, 25, False)],
                              ids=["sparse", "dense"])
-    def test_eigensolve_holds_no_dense_p_beside_its_csr_copy(self, tmp_path, monkeypatch,
-                                                             steps, knn, csr):
+    def test_eigensolve_reads_p_in_the_builders_format(self, tmp_path, monkeypatch,
+                                                       steps, knn, csr):
         import scipy.sparse
         import scipy.sparse.linalg as sla
 

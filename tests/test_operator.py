@@ -386,7 +386,7 @@ class TestEigendecompose:
         t = np.arange(600.0)
         h = t / 50.0 + np.cos(0.3 * t)
         emb = delay_embed(h, Q=3, ell=5)
-        dec = eigendecompose(build_operator(emb, 0, 10), 4)
+        dec = eigendecompose(markov_operator(emb, 0, 10), 4)
         assert abs(dec.eigenvalues[1].imag) < 1e-6
         assert dec.pair_index[1] == -1
 
@@ -395,7 +395,7 @@ class TestEigendecompose:
         # published operator eigenvalues
         traj = simulate(ModelConfig(kind="F", n_steps=2000, seed=4))
         emb = delay_embed(traj.observations, Q=3, ell=10)
-        dec = eigendecompose(build_operator(emb, 1, 25), 12)
+        dec = eigendecompose(markov_operator(emb, 1, 25), 12)
         j_fast = nearest_pair(dec, 40.0)
         j_slow = nearest_pair(dec, 97.3537)
         lam_fast = dec.eigenvalues[j_fast - 1]
@@ -688,7 +688,8 @@ class TestRowBlockedBuild:
 
 
 class TestCsrOperand:
-    """ARPACK reads a CSR copy of P when at most _CSR_DENSITY of it is nonzero."""
+    """ARPACK reads P in the format its builder chose: CSR, as markov_operator
+    builds a P at most _CSR_DENSITY nonzero, as it is, and a dense P through BLAS."""
 
     @pytest.fixture
     def operands(self, monkeypatch):
@@ -723,19 +724,14 @@ class TestCsrOperand:
         traj = simulate(ModelConfig(kind="F", n_steps=1200, seed=0))
         return delay_embed(traj.observations, Q=3, ell=10), 1, 10
 
-    @staticmethod
-    def circle_operator():
-        return build_operator(*TestCsrOperand.streamed_case("circle"))
-
     def test_sparse_operator_runs_on_csr(self, operands):
-        op = self.circle_operator()
-        assert op.n == 320
-        assert np.count_nonzero(op.P) / op.P.size < spectrend.operator._CSR_DENSITY
+        op = markov_operator(*self.streamed_case("circle"))
+        assert op.n == 320 and scipy.sparse.issparse(op.P)
+        assert op.P.nnz / op.n ** 2 < spectrend.operator._CSR_DENSITY
         dec = eigendecompose(op, 10)
-        assert len(operands["eigs"]) == 2
-        assert all(scipy.sparse.issparse(A) for A in operands["eigs"])
+        A, AT = operands["eigs"]
+        assert A is op.P and scipy.sparse.issparse(AT)
         assert operands["dense"] == []
-        assert isinstance(op.P, np.ndarray)
         TestKrylovPath.assert_matches_dense(dec, op)
 
     def test_dense_operator_runs_in_scipy_blas(self, operands, monkeypatch):
@@ -775,10 +771,12 @@ class TestCsrOperand:
             np.testing.assert_array_equal(getattr(dec, name), getattr(ref, name))
 
     def test_fallback_reads_dense_matrix(self, operands):
-        # 2.5% nonzero, so ARPACK tries the CSR copy first and gives up
+        # 2.5% nonzero but dense, so ARPACK tries P through BLAS first and gives up
+        from scipy.sparse.linalg import LinearOperator
+
         op = MarkovOperator(P=np.roll(np.eye(40), 1, axis=1), s=1)
         dec = eigendecompose(op, 5)
-        assert operands["eigs"] and all(scipy.sparse.issparse(A) for A in operands["eigs"])
+        assert operands["eigs"] and all(isinstance(A, LinearOperator) for A in operands["eigs"])
         assert len(operands["dense"]) == 1 and operands["dense"][0] is op.P
         z = np.exp(2j * np.pi / 40.0)
         np.testing.assert_allclose(dec.eigenvalues, [1.0, z, z.conjugate(), z**2, z.conjugate()**2],
@@ -786,7 +784,7 @@ class TestCsrOperand:
 
     def test_fallback_densifies_a_csr_p(self, operands):
         P = np.roll(np.eye(40), 1, axis=1)
-        op = MarkovOperator(P=spectrend.operator._csr_copy(P), s=1)
+        op = MarkovOperator(P=scipy.sparse.csr_array(P), s=1)
         assert scipy.sparse.issparse(op.P)
         dec = eigendecompose(op, 5)
         assert operands["eigs"] and operands["eigs"][0] is op.P
@@ -840,28 +838,16 @@ class TestCsrOperand:
         P.flat[rng.choice(n * n, cap, replace=False)] = rng.random(cap) + 0.5
         fits, rows_out = self.streamed(P)
         assert fits == [True, True, True]
-        want = scipy.sparse.csr_array(P)
-        for A in (spectrend.operator._csr_copy(P), rows_out.array()):
-            assert scipy.sparse.issparse(A) and A.nnz == cap
-            for name in ("data", "indices", "indptr"):
-                np.testing.assert_array_equal(getattr(A, name), getattr(want, name))
+        A, want = rows_out.array(), scipy.sparse.csr_array(P)
+        assert scipy.sparse.issparse(A) and A.nnz == cap
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(A, name), getattr(want, name))
         # one more nonzero, in the last row: the running count first passes
         # the capacity in the last block
         P[-1, np.flatnonzero(P[-1] == 0.0)[0]] = 1.0
         assert np.count_nonzero(P) == cap + 1
         assert np.count_nonzero(P[:2 * block]) <= cap
-        assert spectrend.operator._csr_copy(P) is None
         assert self.streamed(P)[0] == [True, True, False]
-
-    def test_blockwise_csr_matches_csr_array(self):
-        op = self.circle_operator()
-        assert op.n > spectrend.operator._ROW_BLOCK
-        A, want = spectrend.operator._csr_copy(op.P), scipy.sparse.csr_array(op.P)
-        assert scipy.sparse.issparse(A) and A.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            got, ref = getattr(A, name), getattr(want, name)
-            assert got.dtype == ref.dtype
-            np.testing.assert_array_equal(got, ref)
 
     @staticmethod
     def modules_after_cli_import() -> set:

@@ -8,9 +8,9 @@ from spectrend.embed import delay_embed
 from spectrend.models import ModelConfig, regime_mask, simulate
 from spectrend.operator import (
     MarkovOperator,
-    build_operator,
     eigendecompose,
     kernel_matrix,
+    markov_operator,
     row_stochastic,
 )
 from spectrend.spectral import (
@@ -40,7 +40,7 @@ def switching_pipeline():
     # oscillatory pair is the slow-rotation one
     traj = simulate(ModelConfig(kind="F", n_steps=2000, seed=11))
     emb = delay_embed(traj.observations, Q=3, ell=10)
-    dec = eigendecompose(build_operator(emb, 1, 25), 12)
+    dec = eigendecompose(markov_operator(emb, 1, 25), 12)
     h_rows = emb.align(traj.observations, dec.right_vectors.shape[0])
     in_fast = emb.align(regime_mask(traj), dec.right_vectors.shape[0])
     return traj, dec, h_rows, in_fast
@@ -294,7 +294,7 @@ class TestTrendMode:
         t = np.arange(700.0)
         h = t / 70.0 + np.cos(0.3 * t)
         emb = delay_embed(h, Q=3, ell=5)
-        dec = eigendecompose(build_operator(emb, 1, 10), 6)
+        dec = eigendecompose(markov_operator(emb, 1, 10), 6)
         j, series = trend_mode(dec)
         assert j >= 2
         drift = emb.align(t, len(series)) / 70.0
