@@ -14,9 +14,14 @@ kernel rows.  ``build_operator`` writes those rows into a new dense
 (N-s) x (N-s) kernel (``kernel_matrix``) and normalizes it in place into P
 (``row_stochastic``), so it holds one N x N array.  ``markov_operator``, which
 the CLI calls, holds none while P is sparse: it normalizes each block of rows
-in one reused scratch block and appends its nonzeros to CSR arrays, and only
-when their count would pass ``_CSR_DENSITY`` of P does it drop them and build
-the dense P as ``build_operator`` does.  Both give the same P to the bit.
+in one reused scratch block and appends its nonzeros to CSR arrays.  At the
+first block that would pass ``_CSR_DENSITY`` of P, it copies the rows streamed
+so far and that block into a new dense P, drops the CSR arrays and the
+scratch block, and makes every later block in P's rows, so no block is made
+twice.  Both give the same P to the bit.  At the switch the CSR rows, at most
+1.2 N^2 bytes, are alive beside the rows of P written so far, which passes the
+dense P's own peak only when the switch comes in the last ~15% of rows, for a
+P about 10-11.8% nonzero.
 
 One NumPy kernel, ``_sqdist_rows``, fills the squared distances a row block
 at a time, in one of two forms chosen by the cloud's dimension.  Up to
@@ -61,9 +66,9 @@ method (``scipy.sparse.linalg.eigs``) runs on P for the right vectors and on
 P^T for the left ones, so the cost grows with the requested mode count
 rather than as N^3.  The builder picks P's format, and ``eigendecompose``
 keeps it: ``markov_operator`` streams P's rows into CSR through ``_CsrRows``
-while at most ``_CSR_DENSITY`` (10%) of P is nonzero, and builds it dense
-otherwise; ``build_operator`` always builds it dense.  A CSR P is ARPACK's
-operand and that of every residual product as it is.  A dense P is read
+while at most ``_CSR_DENSITY`` (10%) of P is nonzero, and moves them into
+a dense P otherwise; ``build_operator`` always builds it dense.  A CSR P is
+ARPACK's operand and that of every residual product as it is.  A dense P is read
 through one ``LinearOperator`` whose products call ``scipy.linalg.blas`` on P
 itself.  ARPACK asks its caller for every product with P, so the caller picks
 the BLAS.  The NumPy and SciPy wheels each bundle an OpenBLAS; ARPACK and
@@ -396,37 +401,29 @@ def markov_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
     """``build_operator``'s P, in the format ARPACK reads: CSR when at most
     ``_CSR_DENSITY`` of it is nonzero, else dense.
 
-    Pass 2 streams P's normalized rows into CSR arrays (``_streamed_csr``).
-    When their count would pass ``_CSR_DENSITY`` of P, the stream is dropped
-    and the dense P is built afresh by ``kernel_matrix`` and
-    ``row_stochastic``.  Either P equals ``build_operator``'s to the bit.
-    ``eigendecompose`` keeps the format chosen here: it hands a CSR P to
-    ARPACK as it is and reads a dense one through BLAS.
-    """
-    pts = _scaled_cloud(emb)
-    d = knn_bandwidths(pts, K)
-    P = _streamed_csr(pts, s, d)
-    if P is None:
-        P = row_stochastic(kernel_matrix(pts, s, d))
-    return MarkovOperator(P, s, emb.dt)
-
-
-def _streamed_csr(pts, s: int, bandwidths):
-    """CSR P straight from the kernel rows, a block of ``_ROW_BLOCK`` rows at
-    a time in one reused scratch block, or None once more than
-    ``_CSR_DENSITY`` of P is nonzero.
+    Pass 2 makes and normalizes one block of ``_ROW_BLOCK`` rows at a time, in
+    a reused scratch block whose nonzeros go to ``_CsrRows``, until a block
+    does not fit.  The rows so far and that block are then copied into a new
+    dense P, exactly, since every entry not kept is +0.0, and each later block
+    is made in P's rows.  ``eigendecompose`` keeps the format chosen here.
 
     A NumericalError names the first block holding a row that cannot be
     normalized, where ``row_stochastic`` checks all rows before it names one.
     """
-    pts, d, gram = _kernel_inputs(pts, s, bandwidths)
+    pts = _scaled_cloud(emb)
+    pts, d, gram = _kernel_inputs(pts, s, knn_bandwidths(pts, K))
     n = len(pts) - s
-    rows_out, block = _CsrRows((n, n)), np.empty((min(_ROW_BLOCK, n), n))
+    rows_out, block, P = _CsrRows((n, n)), np.empty((min(_ROW_BLOCK, n), n)), None
     for rows in _blocks(n):
-        S = _kernel_rows(pts, s, d, rows, block[:rows.stop - rows.start], gram)
-        if not rows_out.append(rows, _normalize_rows(S, _row_sums(S, rows.start))):
-            return None
-    return rows_out.array()
+        out = block[:rows.stop - rows.start] if P is None else P[rows]
+        S = _kernel_rows(pts, s, d, rows, out, gram)
+        _normalize_rows(S, _row_sums(S, rows.start))
+        if P is None and not rows_out.append(rows, S):
+            P = np.empty((n, n))
+            rows_out.array(rows.start).toarray(out=P[:rows.start])
+            P[rows] = S
+            del rows_out, block, out, S    # P alone holds the rows from here on
+    return MarkovOperator(rows_out.array(n) if P is None else P, s, emb.dt)
 
 
 def _in_mode_order(w: np.ndarray, *vecs):
@@ -550,11 +547,11 @@ class _CsrRows:
         self.indices[span] = np.flatnonzero(nonzero) % self.shape[1]
         return True
 
-    def array(self):
-        """The CSR array of the rows appended, all of them."""
-        nnz = self.indptr[-1]
-        return scipy.sparse.csr_array(
-            (self.data[:nnz], self.indices[:nnz], self.indptr), shape=self.shape)
+    def array(self, k: int):
+        """The CSR array of the first k rows, all appended; k = n_rows gives the matrix."""
+        nnz = self.indptr[k]
+        return scipy.sparse.csr_array((self.data[:nnz], self.indices[:nnz], self.indptr[:k + 1]),
+                                      shape=(k, self.shape[1]))
 
 
 def eigendecompose(op: MarkovOperator, m: Optional[int] = None) -> SpectralDecomposition:

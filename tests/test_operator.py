@@ -11,7 +11,7 @@ import scipy.sparse
 from scipy.spatial.distance import cdist
 
 import spectrend.operator
-from spectrend.data import TimeSeries
+from spectrend.data import TimeSeries, load_benthic_fixture
 from spectrend.embed import delay_embed
 from spectrend.models import ModelConfig, simulate
 from spectrend.operator import (
@@ -609,7 +609,7 @@ class TestRowBlockedBuild:
         assert P is S and P.flags.c_contiguous
         np.testing.assert_array_equal(P, P_ref)
         np.testing.assert_array_equal(build_operator(delay_embed(pts, 1, 1), s, 5).P, P_ref)
-        # every case is over 10% nonzero, so the stream restarts into the dense build
+        # every case is over 10% nonzero, so the stream switches to the dense P
         P = markov_operator(delay_embed(pts, 1, 1), s, 5).P
         assert type(P) is np.ndarray
         np.testing.assert_array_equal(P, P_ref)
@@ -641,6 +641,33 @@ class TestRowBlockedBuild:
                 tracemalloc.stop()
         assert peaks[markov_operator] <= 0.5 * 8 * n ** 2
         assert peaks[build_operator] >= 8 * n ** 2
+
+    def test_switch_to_dense_p_drops_the_stream(self, monkeypatch):
+        # once the rows go into the dense P, neither the CSR arrays nor the
+        # 256-row scratch block stay alive beside it: from the first block
+        # made in P's rows on, the peak is P and one _CACHE_ROWS temporary,
+        # bounded here with the CSR arrays' capacity to spare
+        emb = delay_embed(random_cloud(600, 3, seed=21), 1, 1)
+        n = emb.n_points - 1
+        assert n > 2 * spectrend.operator._ROW_BLOCK
+        kernel_rows, in_p = spectrend.operator._kernel_rows, []
+
+        def spy(pts, s, d, rows, out, gram):
+            if out.base.shape == (n, n) and not in_p:
+                tracemalloc.reset_peak()
+                in_p.append(rows)
+            return kernel_rows(pts, s, d, rows, out, gram)
+
+        monkeypatch.setattr(spectrend.operator, "_kernel_rows", spy)
+        tracemalloc.start()
+        try:
+            P = markov_operator(emb, 1, 5).P
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert type(P) is np.ndarray and in_p
+        capacity = int(spectrend.operator._CSR_DENSITY * n * n)
+        assert peak <= P.nbytes + 12 * capacity + spectrend.operator._CACHE_ROWS * n * 8
 
     def test_exponent_past_700_leaves_p_zero(self):
         # P is exactly 0 wherever the kernel exponent exceeds 700, so a floor
@@ -814,12 +841,42 @@ class TestCsrOperand:
             assert got.dtype == ref.dtype
             np.testing.assert_array_equal(got, ref)
 
-    def test_dense_p_is_build_operators(self):
-        # TestKrylovPath.kernel_operator(0)'s cloud: P is 98% nonzero
-        emb = delay_embed(random_cloud(301, 3, seed=0), 1, 1)
-        P = markov_operator(emb, 1, 8).P
-        assert type(P) is np.ndarray and P.flags.c_contiguous
-        np.testing.assert_array_equal(P, build_operator(emb, 1, 8).P)
+    @pytest.mark.parametrize("switch", ["block_0", "middle_block", "none"])
+    def test_p_is_build_operators_wherever_the_switch_comes(self, monkeypatch, switch):
+        # each block is made once, streamed into CSR until one does not fit and
+        # then into the dense P; the dense build never runs
+        if switch == "block_0":
+            # TestKrylovPath.kernel_operator(0)'s cloud: P is 98% nonzero
+            emb, s, K = delay_embed(random_cloud(301, 3, seed=0), 1, 1), 1, 8
+            fits = [False]
+        elif switch == "middle_block":
+            # criterion 6's operator, 45% nonzero: the switch comes in rows 768-1023
+            emb, s, K = delay_embed(load_benthic_fixture(), Q=5, ell=10), 7, 7
+            fits = [True, True, True, False]
+        else:
+            emb, s, K = self.streamed_case("model_F")
+            fits = [True] * 5
+        want = build_operator(emb, s, K).P
+        appended, append = [], spectrend.operator._CsrRows.append
+
+        def append_spy(rows_out, rows, block):
+            appended.append(append(rows_out, rows, block))
+            return appended[-1]
+
+        def unused(*args):
+            raise AssertionError("markov_operator builds no P through the dense build")
+
+        monkeypatch.setattr(spectrend.operator._CsrRows, "append", append_spy)
+        monkeypatch.setattr(spectrend.operator, "kernel_matrix", unused)
+        monkeypatch.setattr(spectrend.operator, "row_stochastic", unused)
+        P = markov_operator(emb, s, K).P
+        assert appended == fits
+        if switch == "none":
+            assert scipy.sparse.issparse(P)
+            P = P.toarray()
+        else:
+            assert type(P) is np.ndarray and P.flags.c_contiguous
+        np.testing.assert_array_equal(P.view(np.uint64), want.view(np.uint64))
 
     @staticmethod
     def streamed(P):
@@ -838,7 +895,7 @@ class TestCsrOperand:
         P.flat[rng.choice(n * n, cap, replace=False)] = rng.random(cap) + 0.5
         fits, rows_out = self.streamed(P)
         assert fits == [True, True, True]
-        A, want = rows_out.array(), scipy.sparse.csr_array(P)
+        A, want = rows_out.array(n), scipy.sparse.csr_array(P)
         assert scipy.sparse.issparse(A) and A.nnz == cap
         for name in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(A, name), getattr(want, name))
