@@ -89,11 +89,15 @@ def switching_weight(x: float, c: float):
     """Smooth regime indicator ``w(x) = (1 + tanh(c (x - 1/2))) / 2``.
 
     Monotone increasing, ``w(1/2) = 1/2``; for large ``c`` it is close to 0
-    on [0, 1/2) and close to 1 on (1/2, 1].  Accepts scalars or arrays.
+    on [0, 1/2) and close to 1 on (1/2, 1].  Accepts scalars or arrays.  Each
+    entry is ``0.5 * (1.0 + math.tanh(c * (x - 0.5)))`` to the bit, since
+    ``np.tanh`` can differ from ``math.tanh`` in the last bit.
     """
     if c <= 0:
         raise ValueError(f"sharpness c must be positive, got {c!r}")
-    return 0.5 * (1.0 + np.tanh(c * (np.asarray(x, dtype=float) - 0.5)))
+    z = np.asarray(c * (np.asarray(x, dtype=float) - 0.5))
+    tanh = np.fromiter(map(math.tanh, z.ravel().tolist()), float, z.size)
+    return 0.5 * (1.0 + tanh.reshape(z.shape))
 
 
 def linear_drift(n_steps: int) -> tuple:
@@ -243,19 +247,19 @@ class Trajectory:
         return self.states[:, 0]
 
 
-def _running_sum(start, inc, n: int) -> np.ndarray:
-    """start, start + inc, (start + inc) + inc, ...: n sums, added left to right."""
-    terms = np.full(n, inc, dtype=float)
-    terms[0] = start
-    return np.add.accumulate(terms)
+def _running_sum(start, steps: np.ndarray) -> np.ndarray:
+    """start, then that plus each row of the (n - 1, k) ``steps`` in turn, added one
+    term at a time, left to right: a row ``[a, b]`` gives exactly ``v = v + a + b``."""
+    return np.add.accumulate(np.append(float(start), steps))[::steps.shape[1]]
 
 
 def simulate(config: ModelConfig) -> Trajectory:
     """Run one model and return its trajectory.
 
-    The angle coordinates are accumulated in plain floats without modular
-    reduction; reduction happens only inside the observation map, which keeps
-    runs bitwise reproducible regardless of accumulation order tricks.
+    One loop steps the driver coordinate x (the tent map or the drift).  Each
+    phase, unreduced until the observation map, is a ``_running_sum`` of its
+    per-step terms in the order its formula writes them; F and Fprime weigh by
+    one ``switching_weight`` of x.
     """
     n = config.n_steps
     switching = config.kind in _SWITCHING
@@ -268,28 +272,21 @@ def simulate(config: ModelConfig) -> Trajectory:
     for t in range(n):
         x[t] = xv
         xv = tent_map_step(xv, config.delta) if switching else xv + d0 + d1 * t + d2 * t * t
+    w = switching_weight(x, config.c) if switching else None
     if config.kind == "F":
-        # math.tanh, not switching_weight: np.tanh can differ in the last bit
-        theta = np.empty(n)
-        tv = config.theta0
-        for t, xv in enumerate(x.tolist()):
-            theta[t] = tv
-            w = 0.5 * (1.0 + math.tanh(config.c * (xv - 0.5)))
-            tv = tv + w * config.alpha1 + (1.0 - w) * config.alpha2
+        theta = _running_sum(config.theta0,
+                             np.column_stack([w * config.alpha1, (1.0 - w) * config.alpha2])[:-1])
         h = np.cos(theta)
         states = [x, theta]
     elif config.kind == "Fprime":
-        # Both phases advance every step; the observation blends them.
-        # Phases are tracked in cycles so that the observation map is
-        # literally cos(2 pi theta); alpha1/alpha2 keep radians-per-step
-        # semantics via the 1/(2 pi) conversion.
-        th1 = _running_sum(config.theta0, config.alpha1 / TWO_PI, n)
-        th2 = _running_sum(config.theta2_0, config.alpha2 / TWO_PI, n)
-        w = switching_weight(x, config.c)
+        # both phases advance every step, in cycles, so that the observation
+        # is literally cos(2 pi theta); alpha1/alpha2 stay radians per step
+        th1 = _running_sum(config.theta0, np.full((n - 1, 1), config.alpha1 / TWO_PI))
+        th2 = _running_sum(config.theta2_0, np.full((n - 1, 1), config.alpha2 / TWO_PI))
         h = w * np.cos(TWO_PI * th1) + (1.0 - w) * np.cos(TWO_PI * th2)
         states = [x, th1, th2]
     else:
-        theta = _running_sum(config.theta0, config.alpha, n)
+        theta = _running_sum(config.theta0, np.full((n - 1, 1), config.alpha, dtype=float))
         h = x + np.cos(theta) if config.kind == "M" else (config.a + x) * np.cos(theta)
         states = [x, theta]
     return Trajectory(states=np.column_stack(states), observations=h, config=config)

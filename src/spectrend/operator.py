@@ -246,14 +246,20 @@ def _kernel_inputs(pts, s: int, bandwidths):
     squared distances take the Gram form (``_gram_form``)."""
     pts = _as_cloud(pts)
     n_all = len(pts)
-    if s < 0 or s >= n_all:
-        raise ValueError(f"forward step s must satisfy 0 <= s < N={n_all}, got {s}")
+    _check_step(s, n_all)
     d = np.asarray(bandwidths, dtype=float)
     if d.shape != (n_all,):
         raise ValueError(f"bandwidths must have length N={n_all}, got {d.shape}")
     if np.any(d <= 0):
         raise NumericalError("bandwidths must be strictly positive")
     return pts, d, _gram_form(pts, d.min())
+
+
+def _check_step(s: int, n_all: int) -> None:
+    """Reject a forward step s outside [0, N) for a cloud of N points.  The
+    builders call it before ``knn_bandwidths``, an O(N^2 dim) pass."""
+    if s < 0 or s >= n_all:
+        raise ValueError(f"forward step s must satisfy 0 <= s < N={n_all}, got {s}")
 
 
 def _kernel_rows(pts: np.ndarray, s: int, d: np.ndarray, rows: slice, out: np.ndarray,
@@ -393,6 +399,7 @@ def build_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
     other per-sample values, are ``emb.align(values, op.n)``.
     """
     pts = _scaled_cloud(emb)
+    _check_step(s, len(pts))
     d = knn_bandwidths(pts, K)
     return MarkovOperator(row_stochastic(kernel_matrix(pts, s, d)), s, emb.dt)
 
@@ -411,6 +418,7 @@ def markov_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
     normalized, where ``row_stochastic`` checks all rows before it names one.
     """
     pts = _scaled_cloud(emb)
+    _check_step(s, len(pts))
     pts, d, gram = _kernel_inputs(pts, s, knn_bandwidths(pts, K))
     n = len(pts) - s
     rows_out, block, P = _CsrRows((n, n)), np.empty((min(_ROW_BLOCK, n), n)), None

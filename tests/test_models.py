@@ -114,6 +114,19 @@ class TestSwitchingWeight:
         with pytest.raises(ValueError):
             switching_weight(0.5, 0.0)
 
+    # np.tanh differs from math.tanh in the last bit at 0.24, at 0.58 and at 14
+    # of the grid's points
+    @pytest.mark.parametrize("x, c", [
+        (0.24, 40.0), (np.asarray(0.58), 40.0),
+        (np.linspace(0, 1, 101), 40.0), (np.linspace(0, 1, 101), 40),
+    ], ids=["scalar", "0-d", "grid", "grid-int-c"])
+    def test_is_the_math_tanh_formula_to_the_bit(self, x, c):
+        w = switching_weight(x, c)
+        expected = [0.5 * (1.0 + math.tanh(c * (v - 0.5))) for v in np.ravel(x).tolist()]
+        assert np.shape(w) == np.shape(x)
+        np.testing.assert_array_equal(np.ravel(w).view(np.uint64),
+                                      np.array(expected).view(np.uint64))
+
 
 class TestDriftPresets:
     def test_linear_accumulates_to_span(self):
@@ -343,19 +356,26 @@ class TestSimulate:
         assert np.array_equal(mask, traj.x > 0.5)
         assert mask.any() and (~mask).any()
 
-    @pytest.mark.parametrize("kind", ["M", "A", "Fprime"])
-    def test_phases_equal_stepwise_sums(self, kind):
-        cfg = ModelConfig(kind=kind, n_steps=3000, seed=2, theta0=0.3, theta2_0=-1.7)
-        starts_incs = ([(cfg.theta0, cfg.alpha)] if kind != "Fprime" else
-                       [(cfg.theta0, cfg.alpha1 / (2.0 * math.pi)),
-                        (cfg.theta2_0, cfg.alpha2 / (2.0 * math.pi))])
-        states = simulate(cfg).states
-        for col, (phase, inc) in enumerate(starts_incs, start=1):
+    @pytest.mark.parametrize("kind, n_steps, theta0", [
+        pytest.param(kind, n_steps, theta0, id=kind + case)
+        for case, n_steps, theta0 in [("", 3000, 0.3), ("-1-step", 1, 0.3), ("-int-theta0", 3000, 3)]
+        for kind in ["M", "A", "F", "Fprime"]])
+    def test_phases_equal_stepwise_sums(self, kind, n_steps, theta0):
+        # each phase is the loop over its formula, terms added left to right
+        cfg = ModelConfig(kind=kind, n_steps=n_steps, seed=2, theta0=theta0, theta2_0=-1.7)
+        traj = simulate(cfg)
+        w = [0.5 * (1.0 + math.tanh(cfg.c * (xv - 0.5))) for xv in traj.x.tolist()]
+        steps = {"M": [(cfg.theta0, lambda v, t: v + cfg.alpha)],
+                 "F": [(cfg.theta0,
+                        lambda v, t: v + w[t] * cfg.alpha1 + (1.0 - w[t]) * cfg.alpha2)],
+                 "Fprime": [(cfg.theta0, lambda v, t: v + cfg.alpha1 / (2.0 * math.pi)),
+                            (cfg.theta2_0, lambda v, t: v + cfg.alpha2 / (2.0 * math.pi))]}
+        for col, (phase, step) in enumerate(steps.get(kind, steps["M"]), start=1):
             expected = []
-            for _ in range(cfg.n_steps):
+            for t in range(cfg.n_steps):
                 expected.append(phase)
-                phase = phase + inc
-            np.testing.assert_array_equal(states[:, col], expected)
+                phase = step(phase, t)
+            np.testing.assert_array_equal(traj.states[:, col], expected)
 
     def test_regime_mask_rejects_drift_kinds(self):
         traj = simulate(ModelConfig(kind="M", n_steps=50))

@@ -127,6 +127,19 @@ class TestKernelMatrix:
         S = kernel_matrix(pts, 0, d)
         assert S[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-15)
 
+    @pytest.mark.parametrize("builder", [build_operator, markov_operator])
+    def test_step_checked_before_bandwidths(self, monkeypatch, builder):
+        # the bandwidth pass is O(N^2 dim), so a step past the cloud fails first
+        def fail(*args):
+            raise AssertionError("knn_bandwidths ran before the step was checked")
+
+        monkeypatch.setattr(spectrend.operator, "knn_bandwidths", fail)
+        emb = delay_embed(random_cloud(30), 1, 1)
+        n = len(emb.points)
+        with pytest.raises(ValueError,
+                           match=rf"^forward step s must satisfy 0 <= s < N={n}, got {n}$"):
+            builder(emb, n, 3)
+
     def test_matches_direct_formula(self):
         pts = random_cloud(50, 3, seed=3)
         d = knn_bandwidths(pts, 4)
