@@ -9,6 +9,12 @@ with beta = ell * alpha.  The curve is a planar ellipse whose area is
 maximized at beta = pi/3; distinct beta give disjoint ellipses, which is what
 lets one operator separate coexisting frequencies.  ``suggest_lag`` picks the
 lag so the largest angular rate lands near the top of the useful range.
+
+An ``EmbeddedSeries`` keeps the samples, Q and ell, not the delay vectors:
+its cloud of N = N~ - (Q-1) ell points in d Q coordinates repeats each
+sample up to Q times, so a field run would hold its field Q + 1 times.  The
+operator reads the cloud a block of columns at a time through
+``EmbeddedSeries.columns``, each block built from slices of the samples.
 """
 
 from __future__ import annotations
@@ -23,23 +29,72 @@ from .data import TimeSeries
 
 @dataclasses.dataclass(frozen=True)
 class EmbeddedSeries:
-    """Delay-vector matrix plus the map from its rows to source samples.
+    """Delay vectors of a series, read from its samples on demand.
 
     Row ``i`` holds ``(h_t, h_{t-ell}, ..., h_{t-(Q-1) ell})`` for
     ``t = offset + i`` (the newest sample stamps the row), flattened
-    snapshot-first when the source is d-dimensional; ``delay_embed`` sets
-    ``offset = (Q-1) ell``.  ``align`` reads any source-indexed array at the
-    same samples; the rows' times are ``align(series.times)``.  ``dt`` is the
-    source's sampling interval.
+    snapshot-first when the source is d-dimensional, so coordinate
+    ``q d + j`` of row i is ``samples[offset - q ell + i, j]``;
+    ``offset = (Q-1) ell``.  No (N, d Q) matrix is stored: ``columns`` builds
+    any block of it from slices of ``samples``, and ``points`` builds all of
+    it.  ``align`` reads any source-indexed array at the same samples; the
+    rows' times are ``align(series.times)``.  ``dt`` is the source's sampling
+    interval.
+
+    ``samples`` is a read-only view of the array the embedding was made
+    from, not a copy: changing that array afterwards changes the embedding.
     """
 
-    points: np.ndarray        # (N, d*Q)
-    offset: int               # source index of row 0's newest sample
+    samples: np.ndarray       # (N~, d), C-ordered
+    Q: int
+    ell: int
     dt: float
+
+    def __post_init__(self):
+        view = self.samples.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "samples", view)
+
+    @property
+    def offset(self) -> int:
+        """Source index of row 0's newest sample."""
+        return (self.Q - 1) * self.ell
 
     @property
     def n_points(self) -> int:
-        return self.points.shape[0]
+        return self.samples.shape[0] - self.offset
+
+    @property
+    def dim(self) -> int:
+        return self.samples.shape[1] * self.Q
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (N, d Q) delay-vector matrix, built anew on each access."""
+        return self.columns(slice(None))
+
+    def columns(self, cols: slice, rows: slice = slice(None)) -> np.ndarray:
+        """New C-ordered block ``points[rows, cols]`` of the delay vectors.
+
+        ``cols`` and ``rows`` are slices with step 1.  Each delay's part of
+        the block is one slice of ``samples``, so a block that straddles a
+        delay boundary is joined from two slices, or more when it spans
+        several delays.
+        """
+        first, stop, step = cols.indices(self.dim)
+        start, end, row_step = rows.indices(self.n_points)
+        if step != 1 or row_step != 1:
+            raise ValueError("columns reads slices with step 1")
+        n, d = max(end - start, 0), self.samples.shape[1]
+        out = np.empty((n, max(stop - first, 0)))
+        k = first
+        while k < stop:
+            q, j = divmod(k, d)
+            take = min(stop - k, d - j)
+            row0 = self.offset - q * self.ell + start
+            out[:, k - first:k - first + take] = self.samples[row0:row0 + n, j:j + take]
+            k += take
+        return out
 
     def align(self, values, count=None) -> np.ndarray:
         """Entries of source-indexed ``values`` at the first ``count`` rows.
@@ -76,11 +131,12 @@ def delay_embed(series, Q: int, ell: int) -> EmbeddedSeries:
     Returns
     -------
     EmbeddedSeries
-        N = N~ - (Q-1) ell rows of dimension d*Q.
+        N = N~ - (Q-1) ell rows of dimension d*Q, read from the samples
+        themselves: a C-ordered float series is not copied.
     """
     if not isinstance(series, TimeSeries):
         series = TimeSeries(series)    # which also checks the samples' shape
-    # C order, so the delay vectors are too: distances run slower on strided rows
+    # C order, so each slice of samples that ``columns`` copies runs along rows
     arr = np.ascontiguousarray(series.samples)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -97,9 +153,7 @@ def delay_embed(series, Q: int, ell: int) -> EmbeddedSeries:
         raise ValueError(
             f"series too short for embedding: length {n_src}, "
             f"need at least {base + 1} samples for Q={Q}, ell={ell}")
-    cols = [arr[base - q * ell: base - q * ell + n] for q in range(Q)]
-    pts = np.hstack(cols)
-    return EmbeddedSeries(points=pts, offset=base, dt=series.dt)
+    return EmbeddedSeries(arr, Q, ell, series.dt)
 
 
 def ellipse_curve(beta: float, theta) -> np.ndarray:

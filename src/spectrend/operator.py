@@ -6,8 +6,13 @@ s-step-forward shift,
 
     S_ij = exp(-||h_i - h_{j+s}||^2 / (d_i d_{j+s})),   i, j = 1..N-s,
 
-and row normalization P_ij = S_ij / sum_j S_ij.  The first two steps read
-the (N, dim) cloud in blocks of ``_ROW_BLOCK`` rows: ``knn_bandwidths``
+and row normalization P_ij = S_ij / sum_j S_ij.  The cloud is an
+``EmbeddedSeries``, which holds the samples and no (N, dim) matrix: every
+step reads it through ``EmbeddedSeries.columns``, so a field run holds its
+field once, not Q + 1 times.  ``knn_bandwidths`` and ``kernel_matrix`` also
+take a plain (N, dim) array, as its own one-delay embedding,
+``delay_embed(pts, 1, 1)``.  The first two steps work in blocks of
+``_ROW_BLOCK`` rows: ``knn_bandwidths``
 partitions each block's squared distances to all N points in place, and
 ``_kernel_rows`` turns each block's distances to the shifted points into its
 kernel rows.  ``build_operator`` writes those rows into a new dense
@@ -25,11 +30,13 @@ P about 10-11.8% nonzero.
 
 One NumPy kernel, ``_sqdist_rows``, fills the squared distances a row block
 at a time, in one of two forms chosen by the cloud's dimension.  Up to
-``_EXACT_DIM`` coordinates it sums (x_k - y_k)^2 one coordinate at a time, in
-order, which rounds as SciPy's ``cdist(..., "sqeuclidean")`` does.  Above it
-it takes the Gram form ||x||^2 + ||y||^2 - 2 x.y as matrix products over
-blocks of ``_COL_BLOCK`` coordinates, each centred on the mean of the
-points measured against.  Best of three, in ms at one BLAS thread on a
+``_EXACT_DIM`` coordinates it reads the cloud one coordinate at a time and
+sums (x_k - y_k)^2 in order, which rounds as SciPy's
+``cdist(..., "sqeuclidean")`` does.  Above it it takes the Gram form
+||x||^2 + ||y||^2 - 2 x.y as matrix products over blocks of ``_COL_BLOCK``
+coordinates, each read alone and centred on the mean of the points measured
+against; a block may straddle a delay boundary, and is then joined from two
+slices of the samples.  Best of three, in ms at one BLAS thread on a
 2-core Xeon, with the largest relative error of an off-diagonal entry
 against ``cdist``:
 
@@ -99,7 +106,7 @@ import scipy.sparse
 from scipy.linalg.blas import dgemm, dgemv
 
 from ._table import write_table
-from .embed import EmbeddedSeries
+from .embed import EmbeddedSeries, delay_embed
 
 # Two eigenvalues this close are numerically equal: an eigenvalue with |Im| at
 # most this is real, and a left and right ARPACK answer this close agree.
@@ -177,11 +184,14 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
-def _as_cloud(pts) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] < 1:
-        raise ValueError(f"expected an (N, dim) point cloud with dim >= 1, got shape {pts.shape}")
-    return pts
+def _as_cloud(pts) -> EmbeddedSeries:
+    """``pts`` as an ``EmbeddedSeries``: a plain (N, dim) array is its own
+    embedding with one delay, ``delay_embed(pts, 1, 1)``."""
+    embedded = isinstance(pts, EmbeddedSeries)
+    shape = (pts.n_points, pts.dim) if embedded else np.shape(pts)
+    if len(shape) != 2 or shape[1] < 1:
+        raise ValueError(f"expected an (N, dim) point cloud with dim >= 1, got shape {shape}")
+    return pts if embedded else delay_embed(pts, 1, 1)
 
 
 def _blocks(n: int, size: int = _ROW_BLOCK):
@@ -190,16 +200,17 @@ def _blocks(n: int, size: int = _ROW_BLOCK):
 
 
 def knn_bandwidths(pts, K: int) -> np.ndarray:
-    """Distance from each point of the (N, dim) cloud ``pts`` to its K-th
-    nearest neighbor (self excluded), searched over all N points.
+    """Distance from each point of the cloud ``pts``, an (N, dim) array or an
+    ``EmbeddedSeries``, to its K-th nearest neighbor (self excluded), searched
+    over all N points.
 
     Each block of rows' squared distances is partitioned in place, so no
     N x N array is made.  A K-th neighbor distance of exactly zero means at
     least K+1 coincident points and raises NumericalError, since a zero
     bandwidth makes the kernel undefined; so does an overflowed one.
     """
-    pts = _as_cloud(pts)
-    n = len(pts)
+    cloud = _as_cloud(pts)
+    n = cloud.n_points
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if K >= n:
@@ -207,13 +218,13 @@ def knn_bandwidths(pts, K: int) -> np.ndarray:
     d, block = np.empty(n), np.empty((min(_ROW_BLOCK, n), n))
     with np.errstate(over="ignore"):    # an overflow raises NumericalError below
         # the exact form follows where the Gram form cannot resolve the bandwidths
-        for gram in (True, False) if pts.shape[1] > _EXACT_DIM else (False,):
+        for gram in (True, False) if cloud.dim > _EXACT_DIM else (False,):
             for rows in _blocks(n):
-                D2 = _sqdist_rows(pts[rows], pts, block[:rows.stop - rows.start], gram)
+                D2 = _sqdist_rows(cloud, rows, slice(None), block[:rows.stop - rows.start], gram)
                 D2.partition(K, axis=1)
                 d[rows] = D2[:, K]
             np.sqrt(d, out=d)
-            if _gram_form(pts, d.min()):
+            if _gram_form(cloud, d.min()):
                 break
     if not np.all(np.isfinite(d)):
         raise NumericalError("squared distances overflow the float range; rescale the data")
@@ -226,33 +237,34 @@ def knn_bandwidths(pts, K: int) -> np.ndarray:
 
 
 def kernel_matrix(pts, s: int, bandwidths: np.ndarray) -> np.ndarray:
-    """Gaussian cross-kernel between the (N, dim) cloud ``pts`` and its s-step shift.
+    """Gaussian cross-kernel between the cloud ``pts``, an (N, dim) array or an
+    ``EmbeddedSeries``, and its s-step shift.
 
     Returns a new C-ordered (N-s) x (N-s) array S with
     S_ij = exp(-||pts_i - pts_{j+s}||^2 / (d_i d_{j+s})).  Each block of
     rows is written straight into its rows of S by ``_kernel_rows``, so no
     other N x N array is made.
     """
-    pts, d, gram = _kernel_inputs(pts, s, bandwidths)
-    n = len(pts) - s
+    cloud, d, gram = _kernel_inputs(pts, s, bandwidths)
+    n = cloud.n_points - s
     S = np.empty((n, n))
     for rows in _blocks(n):
-        _kernel_rows(pts, s, d, rows, S[rows], gram)
+        _kernel_rows(cloud, s, d, rows, S[rows], gram)
     return S
 
 
 def _kernel_inputs(pts, s: int, bandwidths):
-    """The checked cloud and bandwidths of a kernel at step s, and whether its
-    squared distances take the Gram form (``_gram_form``)."""
-    pts = _as_cloud(pts)
-    n_all = len(pts)
+    """The checked cloud, an ``EmbeddedSeries``, and bandwidths of a kernel at
+    step s, and whether its squared distances take the Gram form (``_gram_form``)."""
+    cloud = _as_cloud(pts)
+    n_all = cloud.n_points
     _check_step(s, n_all)
     d = np.asarray(bandwidths, dtype=float)
     if d.shape != (n_all,):
         raise ValueError(f"bandwidths must have length N={n_all}, got {d.shape}")
     if np.any(d <= 0):
         raise NumericalError("bandwidths must be strictly positive")
-    return pts, d, _gram_form(pts, d.min())
+    return cloud, d, _gram_form(cloud, d.min())
 
 
 def _check_step(s: int, n_all: int) -> None:
@@ -262,9 +274,9 @@ def _check_step(s: int, n_all: int) -> None:
         raise ValueError(f"forward step s must satisfy 0 <= s < N={n_all}, got {s}")
 
 
-def _kernel_rows(pts: np.ndarray, s: int, d: np.ndarray, rows: slice, out: np.ndarray,
+def _kernel_rows(cloud: EmbeddedSeries, s: int, d: np.ndarray, rows: slice, out: np.ndarray,
                  gram: bool) -> np.ndarray:
-    """Kernel rows ``rows`` of ``kernel_matrix(pts, s, d)``, written into the
+    """Kernel rows ``rows`` of ``kernel_matrix(cloud, s, d)``, written into the
     (len(rows), N-s) array ``out`` and returned.
 
     Each exponent is capped at ``_EXP_CAP`` (700) above its row's smallest,
@@ -275,7 +287,7 @@ def _kernel_rows(pts: np.ndarray, s: int, d: np.ndarray, rows: slice, out: np.nd
     largest, so ``_normalize_rows`` zeroes it with or without the cap, and P
     is the same to the bit.
     """
-    block = _sqdist_rows(pts[rows], pts[s:], out, gram)
+    block = _sqdist_rows(cloud, rows, slice(s, None), out, gram)
     for sub in _blocks(len(block), _CACHE_ROWS):    # no block-sized denominator
         block[sub] /= np.outer(-d[rows][sub], d[s:])    # x / -y is -(x / y) exactly
     head = block[:max(0, s - rows.start)]    # the block's rows i < s
@@ -328,35 +340,42 @@ def row_stochastic(S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _sqdist_rows(X: np.ndarray, Y: np.ndarray, out: np.ndarray, gram: bool) -> np.ndarray:
-    """Squared distances from the rows of X to those of Y, written into the
-    (len(X), len(Y)) array ``out`` and returned.
+def _sqdist_rows(cloud: EmbeddedSeries, rows: slice, others: slice, out: np.ndarray,
+                 gram: bool) -> np.ndarray:
+    """Squared distances from the cloud's points ``rows`` to its points
+    ``others``, written into the (len(rows), len(others)) array ``out`` and
+    returned.
 
     Without ``gram`` each entry is the sum of (x_k - y_k)^2 over the
-    coordinates, in order, which rounds as SciPy's ``cdist(X, Y,
-    "sqeuclidean")`` does.  With ``gram`` it is
-    ||x||^2 + ||y||^2 - 2 x.y on coordinates centred on Y's mean, one block of
-    ``_COL_BLOCK`` coordinates at a time so that no copy of Y is made, and
-    clipped at zero.
+    coordinates, in order, each read alone, which rounds as SciPy's
+    ``cdist(X, Y, "sqeuclidean")`` does.  With ``gram`` it is
+    ||x||^2 + ||y||^2 - 2 x.y on coordinates centred on the mean of the
+    points ``others``, read one block of ``_COL_BLOCK`` coordinates at a time,
+    and clipped at zero.
     """
-    dim = X.shape[1]
+    dim = cloud.dim
     if not gram:
-        YT = np.ascontiguousarray(Y.T)    # as small as the cloud's few coordinates
-        tmp = np.empty((min(_CACHE_ROWS, len(X)), len(Y)))
-        for rows in _blocks(len(X), _CACHE_ROWS):
-            acc, x = out[rows], X[rows]
+        # one array per coordinate: a (len(rows), 1) column and a (len(others),) row
+        XT = [cloud.columns(slice(k, k + 1), rows) for k in range(dim)]
+        YT = [cloud.columns(slice(k, k + 1), others).ravel() for k in range(dim)]
+        tmp = np.empty((min(_CACHE_ROWS, len(out)), out.shape[1]))
+        for sub in _blocks(len(out), _CACHE_ROWS):
+            acc = out[sub]
             for k in range(dim):
                 sq = tmp[:len(acc)] if k else acc
-                np.subtract(x[:, k, None], YT[k], out=sq)
+                np.subtract(XT[k][sub], YT[k], out=sq)
                 np.square(sq, out=sq)
                 if k:
                     acc += sq
         return out
-    x_norm2, y_norm2 = np.zeros(len(X)), np.zeros(len(Y))
+    x_norm2, y_norm2 = np.zeros(out.shape[0]), np.zeros(out.shape[1])
     out[...] = 0.0
     for cols in _blocks(dim, _COL_BLOCK):
-        mean = Y[:, cols].mean(axis=0)
-        xc, yc = X[:, cols] - mean, Y[:, cols] - mean
+        yc = cloud.columns(cols, others)
+        mean = yc.mean(axis=0)
+        yc -= mean
+        xc = cloud.columns(cols, rows)
+        xc -= mean
         x_norm2 += np.einsum("ij,ij->i", xc, xc)
         y_norm2 += np.einsum("ij,ij->i", yc, yc)
         out += xc @ yc.T
@@ -366,29 +385,34 @@ def _sqdist_rows(X: np.ndarray, Y: np.ndarray, out: np.ndarray, gram: bool) -> n
     return np.maximum(out, 0.0, out=out)
 
 
-def _gram_form(pts: np.ndarray, d_min: float) -> bool:
+def _gram_form(cloud: EmbeddedSeries, d_min: float) -> bool:
     """Whether squared distances take the Gram form: above ``_EXACT_DIM``
     coordinates, where its rounding of squared distances between centred
     points, at most dim * eps * max ||x - mean||^2 per entry, is within
     ``_GRAM_TOL`` of d_min^2, the smallest squared bandwidth, which no kernel
     exponent's denominator d_i d_j is below."""
-    dim = pts.shape[1]
+    dim = cloud.dim
     if dim <= _EXACT_DIM:
         return False
-    norm2 = np.zeros(len(pts))
+    norm2 = np.zeros(cloud.n_points)
     for cols in _blocks(dim, _COL_BLOCK):
-        centred = pts[:, cols] - pts[:, cols].mean(axis=0)
+        centred = cloud.columns(cols)
+        centred -= centred.mean(axis=0)
         norm2 += np.einsum("ij,ij->i", centred, centred)
     return bool(dim * np.finfo(float).eps * norm2.max() <= _GRAM_TOL * d_min ** 2)
 
 
-def _scaled_cloud(emb: EmbeddedSeries) -> np.ndarray:
-    """The embedding's cloud, rescaled by a power of two where its squared
-    distances could overflow or underflow.  P is invariant under that
-    scaling, which is exact."""
-    pts = emb.points
-    e = np.frexp(max(pts.max(initial=0.0), -pts.min(initial=0.0)))[1]
-    return np.ldexp(pts, -e) if abs(e) > 400 else pts
+def _scaled_cloud(emb: EmbeddedSeries) -> EmbeddedSeries:
+    """The embedding, its samples rescaled by a power of two where the
+    cloud's squared distances could overflow or underflow.  P is invariant
+    under that scaling, which is exact.  The power is read from the cloud's
+    largest magnitude, a block of ``_COL_BLOCK`` coordinates at a time."""
+    peak = 0.0
+    for cols in _blocks(emb.dim, _COL_BLOCK):
+        block = emb.columns(cols)
+        peak = max(peak, block.max(initial=0.0), -block.min(initial=0.0))
+    e = np.frexp(peak)[1]
+    return dataclasses.replace(emb, samples=np.ldexp(emb.samples, -e)) if abs(e) > 400 else emb
 
 
 def build_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
@@ -398,10 +422,10 @@ def build_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
     and ``emb.dt``, which set the unit of eigenperiods.  Row times, or any
     other per-sample values, are ``emb.align(values, op.n)``.
     """
-    pts = _scaled_cloud(emb)
-    _check_step(s, len(pts))
-    d = knn_bandwidths(pts, K)
-    return MarkovOperator(row_stochastic(kernel_matrix(pts, s, d)), s, emb.dt)
+    cloud = _scaled_cloud(emb)
+    _check_step(s, cloud.n_points)
+    d = knn_bandwidths(cloud, K)
+    return MarkovOperator(row_stochastic(kernel_matrix(cloud, s, d)), s, emb.dt)
 
 
 def markov_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
@@ -417,14 +441,14 @@ def markov_operator(emb: EmbeddedSeries, s: int, K: int) -> MarkovOperator:
     A NumericalError names the first block holding a row that cannot be
     normalized, where ``row_stochastic`` checks all rows before it names one.
     """
-    pts = _scaled_cloud(emb)
-    _check_step(s, len(pts))
-    pts, d, gram = _kernel_inputs(pts, s, knn_bandwidths(pts, K))
-    n = len(pts) - s
+    cloud = _scaled_cloud(emb)
+    _check_step(s, cloud.n_points)
+    cloud, d, gram = _kernel_inputs(cloud, s, knn_bandwidths(cloud, K))
+    n = cloud.n_points - s
     rows_out, block, P = _CsrRows((n, n)), np.empty((min(_ROW_BLOCK, n), n)), None
     for rows in _blocks(n):
         out = block[:rows.stop - rows.start] if P is None else P[rows]
-        S = _kernel_rows(pts, s, d, rows, out, gram)
+        S = _kernel_rows(cloud, s, d, rows, out, gram)
         _normalize_rows(S, _row_sums(S, rows.start))
         if P is None and not rows_out.append(rows, S):
             P = np.empty((n, n))

@@ -5,7 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -726,26 +726,36 @@ class TestReconstruct:
         table = read_table(out / "reconstruction.txt")
         assert table.shape == (n_t - 3 - 1, 1 + ny * nx - 1)    # time + kept cells
 
-    def test_embedding_is_freed_before_the_eigensolve(self, tmp_path, monkeypatch):
-        points, alive = [], []
-        embed, solve = spectrend.embed.delay_embed, operator.eigendecompose
+    def test_embedding_reads_the_series_samples(self, tmp_path, monkeypatch):
+        calls = []
+        embed = spectrend.embed.delay_embed
 
-        def embed_spy(*args):
-            emb = embed(*args)
-            points.append(weakref.ref(emb.points))
+        def embed_spy(series, *args):
+            emb = embed(series, *args)
+            calls.append((series, emb))
             return emb
 
-        def eigendecompose_spy(*args):
-            alive.append(points[0]() is not None)
-            return solve(*args)
-
         monkeypatch.setattr(spectrend.embed, "delay_embed", embed_spy)
-        monkeypatch.setattr(operator, "eigendecompose", eigendecompose_spy)
         out = tmp_path / "o"
         assert main(["reconstruct", "--config", self.field_config(tmp_path, 120, 6, 6),
                      "--indices", "2", "--out", str(out)]) == 0
-        assert alive == [False]
+        [(series, emb)] = calls
+        assert np.shares_memory(emb.samples, series.samples)
         assert (out / "reconstruction.txt").exists()
+
+    def test_field_build_holds_no_delay_cloud(self):
+        # NumPy reports its buffers to tracemalloc: over the embedding and the
+        # operator build, nothing near the (n, d Q) cloud's size is allocated
+        field = np.random.default_rng(12).standard_normal((60, 30 * 30))
+        Q, ell = 4, 1
+        n = len(field) - (Q - 1) * ell
+        tracemalloc.start()
+        try:
+            operator.markov_operator(delay_embed(field, Q, ell), 1, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * field.shape[1] * Q * 8
 
     def test_non_integer_index_exits_2(self, tmp_path, capsys):
         code = main(["reconstruct", "--model", "F", "--steps", "300",

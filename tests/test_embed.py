@@ -61,6 +61,35 @@ class TestDelayEmbed:
         assert emb.points.shape == (5, 4)
         np.testing.assert_array_equal(emb.points[0], [2, 3, 0, 1])
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("Q", [1, 2, 3])
+    def test_points_are_the_stacked_delays(self, Q, d):
+        arr = np.random.default_rng(10 * Q + d).standard_normal((40, d))
+        ell, base = 4, (Q - 1) * 4
+        n = len(arr) - base
+        emb = delay_embed(arr[:, 0] if d == 1 else arr, Q, ell)
+        want = np.hstack([arr[base - q * ell:base - q * ell + n] for q in range(Q)])
+        assert emb.points.flags.c_contiguous and emb.dim == d * Q
+        np.testing.assert_array_equal(emb.points, want)
+        # any block of columns and rows, across delay boundaries too
+        for cols in (slice(None), slice(0, 1), slice(d - 1, d * Q), slice(1, d * Q - 1)):
+            for rows in (slice(None), slice(3, 17), slice(n - 1, None)):
+                block = emb.columns(cols, rows)
+                assert block.flags.c_contiguous
+                np.testing.assert_array_equal(block, want[rows, cols])
+        with pytest.raises(ValueError, match="step 1"):
+            emb.columns(slice(0, None, 2))
+
+    def test_samples_are_a_read_only_view_of_the_source(self):
+        h = np.arange(24.0).reshape(12, 2)
+        emb = delay_embed(h, Q=3, ell=2)
+        assert np.shares_memory(emb.samples, h)
+        with pytest.raises(ValueError, match="read-only"):
+            emb.samples[0, 0] = 1.0
+        # the source stays writable, and a change to it is a change to the embedding
+        h[4, 1] = -1.0
+        assert emb.points[0, 1] == -1.0
+
     @pytest.mark.parametrize("count", [None, 5])
     def test_timestamps_match_closed_form(self, count):
         ts = TimeSeries(np.arange(30.0), dt=0.1, t0=-7.3)

@@ -41,6 +41,12 @@ def sqdist(pts):
     return cdist(pts, pts, "sqeuclidean")
 
 
+def sqdist_matrix(pts, gram):
+    """The squared-distance kernel's (N, N) matrix of the (N, dim) cloud ``pts``."""
+    return spectrend.operator._sqdist_rows(delay_embed(pts, 1, 1), slice(None), slice(None),
+                                           np.empty((len(pts), len(pts))), gram)
+
+
 @pytest.fixture
 def dense_calls(monkeypatch):
     """The shape of each matrix handed to the dense LAPACK ``eig`` fallback."""
@@ -82,7 +88,7 @@ class TestKnnBandwidths:
         # a full sort of the same squared distances, which above _EXACT_DIM
         # take the Gram form; column 0 is the self distance
         gram = dim > spectrend.operator._EXACT_DIM
-        D2 = spectrend.operator._sqdist_rows(pts, pts, np.empty((n, n)), gram)
+        D2 = sqdist_matrix(pts, gram)
         np.testing.assert_array_equal(got, np.sqrt(np.sort(D2, axis=1)[:, K]))
         # against cdist: its own bits below _EXACT_DIM, within 1e-12 above
         want = np.sort(cdist(pts, pts), axis=1)[:, K]
@@ -193,9 +199,9 @@ class TestKernelMatrix:
         blocks = []
         sqdist_rows = spectrend.operator._sqdist_rows
 
-        def spy(X, Y, out, gram):
-            blocks.append((len(X), len(Y), gram))
-            return sqdist_rows(X, Y, out, gram)
+        def spy(cloud, rows, others, out, gram):
+            blocks.append((*out.shape, gram))
+            return sqdist_rows(cloud, rows, others, out, gram)
 
         monkeypatch.setattr(spectrend.operator, "_sqdist_rows", spy)
         build_operator(delay_embed(random_cloud(300, dim), 1, 1), 1, 5)
@@ -209,20 +215,16 @@ class TestKernelMatrix:
 class TestSquaredDistances:
     """The one squared-distance kernel against SciPy's cdist."""
 
-    @staticmethod
-    def filled(pts, gram):
-        return spectrend.operator._sqdist_rows(pts, pts, np.empty((len(pts), len(pts))), gram)
-
     @pytest.mark.parametrize("n, dim", [(600, 3), (300, 5), (120, 16)])
     def test_low_dimension_has_cdist_bits(self, n, dim):
         assert dim <= spectrend.operator._EXACT_DIM
         pts = np.random.default_rng(dim).standard_normal((n, dim)) * 10.0 ** np.arange(dim)
-        np.testing.assert_array_equal(self.filled(pts, False), sqdist(pts))
+        np.testing.assert_array_equal(sqdist_matrix(pts, False), sqdist(pts))
 
     def test_gram_form_within_1e_12_of_cdist(self):
         pts = np.random.default_rng(5).standard_normal((60, 400)) + 3.0
         assert pts.shape[1] > spectrend.operator._EXACT_DIM
-        got, want = self.filled(pts, True), sqdist(pts)
+        got, want = sqdist_matrix(pts, True), sqdist(pts)
         off = ~np.eye(len(pts), dtype=bool)
         assert np.all(np.abs(got - want)[off] <= 1e-12 * want[off])
         assert np.all(got.diagonal() <= 1e-12 * want.max())
@@ -237,9 +239,9 @@ class TestSquaredDistances:
         paths = []
         sqdist_rows = spectrend.operator._sqdist_rows
 
-        def spy(X, Y, out, gram):
+        def spy(cloud, rows, others, out, gram):
             paths.append(gram)
-            return sqdist_rows(X, Y, out, gram)
+            return sqdist_rows(cloud, rows, others, out, gram)
 
         monkeypatch.setattr(spectrend.operator, "_sqdist_rows", spy)
         P = build_operator(delay_embed(pts, 1, 1), 1, K).P
@@ -585,6 +587,39 @@ class TestKrylovPath:
         kept = raw >= eps
         np.testing.assert_array_equal(P[kept], raw[kept])
         np.testing.assert_array_equal(P[~kept], 0.0)
+
+
+class TestSampleReader:
+    """The build that reads the delay cloud from the samples, through
+    ``EmbeddedSeries.columns``, against the same build on the materialized
+    cloud, ``delay_embed(emb.points, 1, 1)``: the same bits."""
+
+    CASES = {
+        # 429 coordinates: the first two _COL_BLOCK blocks straddle the delay
+        # boundaries at 143 and 286
+        "gram-straddling": (np.random.default_rng(30).standard_normal((150, 143)), 3, 2, 1, 8),
+        "exact-form": (np.random.default_rng(31).standard_normal((300, 4)), 4, 3, 1, 6),
+        "rescaled-down": (np.random.default_rng(32).random((200, 2)) * 2.0 ** -450, 3, 4, 1, 5),
+        "rescaled-up": (np.random.default_rng(33).random((200, 2)) * 2.0 ** 450, 3, 4, 1, 5),
+        "head-rows": (np.random.default_rng(34).standard_normal((300, 2)), 3, 5, 6, 5),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_bits_as_the_materialized_cloud(self, case):
+        x, Q, ell, s, K = self.CASES[case]
+        emb = delay_embed(x, Q, ell)
+        flat = delay_embed(emb.points, 1, 1)
+        d = knn_bandwidths(emb, K)
+        np.testing.assert_array_equal(d, knn_bandwidths(flat, K))
+        scaled = spectrend.operator._scaled_cloud(emb)
+        assert (scaled is not emb) == case.startswith("rescaled")
+        gram = spectrend.operator._gram_form(scaled, knn_bandwidths(scaled, K).min())
+        assert gram == (case == "gram-straddling")
+        P, P_flat = markov_operator(emb, s, K).P, markov_operator(flat, s, K).P
+        assert type(P) is type(P_flat)
+        if scipy.sparse.issparse(P):
+            P, P_flat = P.toarray(), P_flat.toarray()
+        np.testing.assert_array_equal(P, P_flat)
 
 
 class TestRowBlockedBuild:
